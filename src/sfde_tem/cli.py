@@ -10,7 +10,8 @@ Commands
 Configuration comes from a flat ``key = value`` file (``#`` comments) with
 command-line flags overriding file values.  Numbers are serialized with 17
 significant digits, and identical config + seed reproduces identical CSV
-bytes for any thread count (``SFDE_TEM_THREADS``, 0 = auto).
+bytes.  Runs are serial; ``SFDE_TEM_THREADS`` is still validated (it must be
+an integer) for compatibility with older scripts, but has no effect.
 """
 
 from __future__ import annotations
@@ -157,15 +158,15 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError(f"key 'seed' must be nonnegative, got {config.seed}")
 
 
-def _threads_from_env() -> Optional[int]:
+def _check_threads_env() -> None:
+    """Reject a non-integer SFDE_TEM_THREADS; the value itself has no effect."""
     raw = os.environ.get("SFDE_TEM_THREADS", "").strip()
     if not raw:
-        return None
+        return
     try:
-        n = int(raw)
+        int(raw)
     except ValueError as exc:
         raise ConfigurationError(f"SFDE_TEM_THREADS must be an integer, got '{raw}'") from exc
-    return None if n == 0 else n
 
 
 def _fmt(x: float) -> str:
@@ -181,7 +182,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; writes CSV artifacts and prints one summary line."""
-    threads = _threads_from_env()
+    _check_threads_env()
     model = get_model(config.model_name, config.model_params)
     step0 = 2.0 ** (-config.step_exponents[0])
 
@@ -199,7 +200,6 @@ def run(config: RunConfig) -> int:
             horizon=config.horizon,
             samples=config.samples,
             seed=config.seed,
-            threads=threads,
         )
         rows = zip(table.steps, table.rms_errors, table.std_errors)
         _write_csv(config.output_path, "delta,rms_error,std_error", rows)
@@ -211,7 +211,6 @@ def run(config: RunConfig) -> int:
             p_exponent=config.p_exponent,
             samples=config.samples,
             seed=config.seed,
-            threads=threads,
         )
         header = "t,log_moment," + ",".join(f"sample_mean_{i+1}" for i in range(model.dim_state))
         rows = (
@@ -227,7 +226,6 @@ def run(config: RunConfig) -> int:
             p_exponent=config.p_exponent,
             samples=config.samples,
             seed=config.seed,
-            threads=threads,
         )
         cumulative = np.fmax.accumulate(curve.moments)
         rows = zip(curve.times, curve.moments, cumulative)

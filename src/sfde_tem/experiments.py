@@ -1,18 +1,17 @@
 """Monte Carlo harnesses: strong-error tables, moment bounds, decay rates.
 
 Replica r of a run draws its Brownian path from the (seed, r) counter
-stream, so the loops are embarrassingly parallel and the reported numbers
-do not depend on execution order or thread count: replicas are processed
-in fixed-size chunks and chunk results are reduced in index order.
+stream, so every replica's path is the same however replicas are grouped.
+Replicas are simulated serially in chunks of ``CHUNK`` and each chunk's
+results are reduced in index order, so a seed reproduces every number bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .model import SfdeModel
 from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _run_batch, resolve_grid
 from .segment import Segment, constant_weight
 
-DEFAULT_CHUNK = 256
+CHUNK = 256
 MOMENT_FLOOR = 1e-300
 MIN_SAMPLES = 100
 
@@ -64,35 +63,11 @@ class StabilityReport:
     samples: int
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None or threads == 0:
-        return max(1, min(4, os.cpu_count() or 1))
-    return max(1, int(threads))
-
-
-def _chunk_plan(samples: int, chunk_size: int) -> List[Tuple[int, int]]:
-    plan = []
-    start = 0
-    while start < samples:
-        count = min(chunk_size, samples - start)
-        plan.append((start, count))
-        start += count
-    return plan
-
-
-def _map_chunks(worker, samples: int, chunk_size: int, threads: Optional[int]) -> list:
-    """Run worker(start, count) over fixed chunks; results in chunk order."""
-    plan = _chunk_plan(samples, chunk_size)
-    n_workers = _resolve_threads(threads)
-    if n_workers <= 1 or len(plan) <= 1:
-        return [worker(s, c) for s, c in plan]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(worker, s, c) for s, c in plan]
-        return [f.result() for f in futures]
-
-
-def _chunk_increments(seed: int, start: int, count: int, n_steps: int, dim: int, step: float) -> np.ndarray:
-    return np.stack([sample_increments(seed, start + i, dim, step, n_steps) for i in range(count)])
+def _chunks(seed: int, samples: int, n_steps: int, dim: int, step: float) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (start, increments (count, n_steps, dim)) per chunk of CHUNK replicas, in index order."""
+    for start in range(0, samples, CHUNK):
+        count = min(CHUNK, samples - start)
+        yield start, np.stack([sample_increments(seed, start + i, dim, step, n_steps) for i in range(count)])
 
 
 def strong_error(
@@ -104,8 +79,6 @@ def strong_error(
     seed: int,
     *,
     exact_terminal: Optional[Callable] = None,
-    threads: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> ErrorTable:
     """RMS terminal error per coarse step against a coupled reference path.
 
@@ -132,20 +105,16 @@ def strong_error(
     for cfg in coarse_configs:
         resolve_grid(model, cfg)
 
-    def worker(start: int, count: int) -> np.ndarray:
-        inc = _chunk_increments(seed, start, count, n_ref, model.dim_noise, step_ref)
+    err_sq = np.empty((len(steps), samples))
+    for start, inc in _chunks(seed, samples, n_ref, model.dim_noise, step_ref):
         if exact_terminal is not None:
             ref_term = np.asarray(exact_terminal(inc, horizon))
         else:
             ref_term = _run_batch(model, ref_config, inc, replica_offset=start).terminal
-        err_sq = np.empty((len(steps), count))
         for i, (cfg, factor) in enumerate(zip(coarse_configs, factors)):
-            coarse = _block_sums(inc, factor, axis=1)
-            term = _run_batch(model, cfg, coarse, replica_offset=start).terminal
-            err_sq[i] = np.sum((term - ref_term) ** 2, axis=-1)
-        return err_sq
-
-    err_sq = np.concatenate(_map_chunks(worker, samples, chunk_size, threads), axis=1)
+            term = _run_batch(model, cfg, _block_sums(inc, factor, axis=1), replica_offset=start).terminal
+            err_sq[i, start : start + len(inc)] = np.sum((term - ref_term) ** 2, axis=-1)
+        del inc  # free this chunk's fine increments before the next chunk is drawn
     mean_sq = err_sq.mean(axis=1)
     rms = np.sqrt(mean_sq)
     se_mean = err_sq.std(axis=1, ddof=1) / math.sqrt(samples)
@@ -182,9 +151,6 @@ def moment_estimate(
     samples: int,
     seed: int,
     report_every: int = 1,
-    *,
-    threads: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> MomentCurve:
     """Monte Carlo estimate of E|Y(t_k)|^p on the grid, with its running maximum.
 
@@ -198,30 +164,22 @@ def moment_estimate(
     delta, _, n_steps = resolve_grid(model, config)
     classic = config.variant == CLASSIC_EM
 
-    def worker(start: int, count: int):
-        inc = _chunk_increments(seed, start, count, n_steps, model.dim_noise, config.step)
-        sums = np.zeros(n_steps + 1)
-        counts = np.zeros(n_steps + 1, dtype=np.int64)
-
-        def observe(k, states, alive):
-            pow_p = np.sum(states * states, axis=-1) ** (0.5 * p_exponent)
-            if classic:
-                pow_p = np.where(alive, pow_p, 0.0)
-                counts[k] += int(alive.sum())
-            else:
-                counts[k] += states.shape[0]
-            sums[k] += float(pow_p.sum())
-
-        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
-        return sums, counts, int(res.diverged.sum())
-
     sums = np.zeros(n_steps + 1)
     counts = np.zeros(n_steps + 1, dtype=np.int64)
     diverged = 0
-    for chunk_sums, chunk_counts, chunk_div in _map_chunks(worker, samples, chunk_size, threads):
-        sums += chunk_sums
-        counts += chunk_counts
-        diverged += chunk_div
+
+    def observe(k, states, pre, alive):
+        pow_p = np.sum(states * states, axis=-1) ** (0.5 * p_exponent)
+        if classic:
+            pow_p = np.where(alive, pow_p, 0.0)
+            counts[k] += int(alive.sum())
+        else:
+            counts[k] += states.shape[0]
+        sums[k] += float(pow_p.sum())
+
+    for start, inc in _chunks(seed, samples, n_steps, model.dim_noise, config.step):
+        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
+        diverged += int(res.diverged.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         estimates = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     times = np.arange(n_steps + 1) * delta
@@ -247,9 +205,6 @@ def stability_decay(
     seed: int,
     tail_fraction: float = 0.6,
     report_every: int = 1,
-    *,
-    threads: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> StabilityReport:
     """Decay diagnostics for the p-th moment and per-replica pathwise rates.
 
@@ -264,29 +219,18 @@ def stability_decay(
     if not 0.0 < tail_fraction <= 1.0:
         raise ConfigurationError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     delta, _, n_steps = resolve_grid(model, config)
-    dim = model.dim_state
-
-    def worker(start: int, count: int):
-        inc = _chunk_increments(seed, start, count, n_steps, model.dim_noise, config.step)
-        sums_p = np.zeros(n_steps + 1)
-        sums_state = np.zeros((n_steps + 1, dim))
-
-        def observe(k, states, alive):
-            sums_p[k] += float(np.sum(np.sum(states * states, axis=-1) ** (0.5 * p_exponent)))
-            sums_state[k] += states.sum(axis=0)
-
-        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
-        terminal_norm = np.sqrt(np.sum(res.terminal**2, axis=-1))
-        return sums_p, sums_state, terminal_norm
 
     sums_p = np.zeros(n_steps + 1)
-    sums_state = np.zeros((n_steps + 1, dim))
-    terminal_norms = []
-    for chunk_p, chunk_state, chunk_term in _map_chunks(worker, samples, chunk_size, threads):
-        sums_p += chunk_p
-        sums_state += chunk_state
-        terminal_norms.append(chunk_term)
-    terminal_norms = np.concatenate(terminal_norms)
+    sums_state = np.zeros((n_steps + 1, model.dim_state))
+    terminal_norms = np.empty(samples)
+
+    def observe(k, states, pre, alive):
+        sums_p[k] += float(np.sum(np.sum(states * states, axis=-1) ** (0.5 * p_exponent)))
+        sums_state[k] += states.sum(axis=0)
+
+    for start, inc in _chunks(seed, samples, n_steps, model.dim_noise, config.step):
+        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
+        terminal_norms[start : start + len(inc)] = np.sqrt(np.sum(res.terminal**2, axis=-1))
 
     moments = sums_p / samples
     clamped = moments < MOMENT_FLOOR

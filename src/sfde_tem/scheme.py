@@ -9,7 +9,7 @@ where seg_k is the piecewise-linear history window and clip is the radial
 truncation to the ball of radius Gamma^{-1}(K Delta^-lambda).  The driver
 below simulates a whole batch of replicas at once: every operation is
 elementwise across the batch, so each replica's path is bit-identical no
-matter how replicas are grouped into batches or threads.  Distributed-delay
+matter how replicas are grouped into batches.  Distributed-delay
 integrals inside the coefficients are kept as running trapezoid sums,
 updated in O(1) per step for constant and boxcar weights.
 """
@@ -29,6 +29,7 @@ from .segment import (
     Segment,
     WeightFunction,
     _apply_transform,
+    _lerp,
     _trapezoid_sum,
     node_weights,
 )
@@ -78,7 +79,7 @@ class PathRecord:
 
     times: np.ndarray
     states: np.ndarray
-    pre_truncation: Optional[np.ndarray]
+    pre_truncation: np.ndarray
     truncation_hits: int
     diverged: bool
     divergence_step: Optional[int]
@@ -151,7 +152,6 @@ class _IntegralTerm:
         if self.fast:
             self.ring[..., slot] = self.h_new
             self.h_new = None
-        self.version = window.version
 
 
 class _SlidingWindow:
@@ -194,20 +194,7 @@ class _SlidingWindow:
         return self._buf[..., idx, :]
 
     def lerp_eval(self, theta: float) -> np.ndarray:
-        n = self.n_steps
-        delta = self.step
-        tol = NODE_SNAP_REL * max(self.tau, 1.0)
-        if theta < -self.tau - tol or theta > tol:
-            raise ValueError(f"theta={theta} outside [-tau, 0] = [{-self.tau}, 0]")
-        u = theta / delta
-        nearest = round(u)
-        if abs(u - nearest) < NODE_SNAP_REL:
-            j = min(max(int(nearest), -n), 0)
-            return self._buf[..., self.phys(n + j), :]
-        j = min(max(int(np.floor(u)), -n), -1)
-        w_hi = u - j
-        w_lo = (j + 1) - u
-        return w_lo * self._buf[..., self.phys(n + j), :] + w_hi * self._buf[..., self.phys(n + j + 1), :]
+        return _lerp(self, theta, lambda j: self._buf[..., self.phys(j), :])
 
     def weighted_integral(self, weight: WeightFunction, transform):
         key = (id(weight), id(transform))
@@ -265,8 +252,6 @@ class BatchResult:
     truncation_hits: np.ndarray   # (B,)
     diverged: np.ndarray          # (B,) bool
     divergence_step: np.ndarray   # (B,) int, -1 if none
-    states: Optional[np.ndarray]  # (B, K+1, n) when recorded
-    pre_truncation: Optional[np.ndarray]
     initial_nodes: np.ndarray     # (N+1, n) truncated initial data
 
 
@@ -275,16 +260,16 @@ def _run_batch(
     config: SchemeConfig,
     increments: np.ndarray,
     *,
-    record_states: bool = False,
-    record_pre: bool = False,
     per_step: Optional[Callable] = None,
     replica_offset: int = 0,
 ) -> BatchResult:
     """Simulate a batch of replicas; increments has shape (B, K, d) with variance Delta.
 
-    ``per_step(k, states, alive)`` is invoked with the (B, n) state array at
-    every grid index k = 0..K.  All arithmetic is elementwise across the
-    batch, so results are independent of how replicas are batched.
+    ``per_step(k, states, pre, alive)`` is invoked at every grid index
+    k = 0..K with the (B, n) post-truncation states and pre-truncation
+    values (the raw initial head at k = 0); the arrays are only valid during
+    the call.  All arithmetic is elementwise across the batch, so results
+    are independent of how replicas are batched.
     """
     delta, n_hist, n_steps = resolve_grid(model, config)
     inc = np.asarray(increments, dtype=float)
@@ -305,15 +290,8 @@ def _run_batch(
     hits = np.zeros(n_batch, dtype=np.int64)
     alive = np.ones(n_batch, dtype=bool)
     div_step = np.full(n_batch, -1, dtype=np.int64)
-    states = pre_rec = None
-    if record_states:
-        states = np.empty((n_batch, n_steps + 1, dim))
-        states[:, 0] = window.head
-    if record_pre:
-        pre_rec = np.empty((n_batch, n_steps + 1, dim))
-        pre_rec[:, 0] = raw_nodes[-1]
     if per_step is not None:
-        per_step(0, window.head, alive)
+        per_step(0, window.head, np.broadcast_to(raw_nodes[-1], (n_batch, dim)), alive)
 
     g_shape = (n_batch, dim, model.dim_noise)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,20 +324,14 @@ def _run_batch(
                 new = np.where(alive[..., None], pre, head)
                 alive = alive & finite
             window.shift(new)
-            if record_states:
-                states[:, k + 1] = new
-            if record_pre:
-                pre_rec[:, k + 1] = pre
             if per_step is not None:
-                per_step(k + 1, new, alive)
+                per_step(k + 1, new, pre, alive)
 
     return BatchResult(
         terminal=window.head.copy(),
         truncation_hits=hits,
         diverged=~alive,
         divergence_step=div_step,
-        states=states,
-        pre_truncation=pre_rec,
         initial_nodes=init_nodes,
     )
 
@@ -383,12 +355,19 @@ def simulate(model: SfdeModel, config: SchemeConfig, grid) -> PathRecord:
     or a (K, d) array of increments with variance Delta) and record the path."""
     inc = _increments_for(model, config, grid)
     delta, n_hist, n_steps = resolve_grid(model, config)
-    res = _run_batch(model, config, inc[None], record_states=True, record_pre=True)
+    states = np.empty((n_steps + 1, model.dim_state))
+    pre_truncation = np.empty_like(states)
+
+    def record(k, state, pre, alive):
+        states[k] = state[0]
+        pre_truncation[k] = pre[0]
+
+    res = _run_batch(model, config, inc[None], per_step=record)
     div = bool(res.diverged[0])
     return PathRecord(
         times=np.arange(n_steps + 1) * delta,
-        states=res.states[0],
-        pre_truncation=res.pre_truncation[0],
+        states=states,
+        pre_truncation=pre_truncation,
         truncation_hits=int(res.truncation_hits[0]),
         diverged=div,
         divergence_step=int(res.divergence_step[0]) if div else None,

@@ -202,20 +202,25 @@ def constant_segment(value, tau: float, n_steps: int) -> Segment:
 
 def lerp_eval(seg: Segment, theta: float) -> np.ndarray:
     """Piecewise-linear evaluation at theta in [-tau, 0]; exact at nodes."""
-    n = seg.n_steps
-    delta = seg.step
-    tol = NODE_SNAP_REL * max(seg.tau, 1.0)
-    if theta < -seg.tau - tol or theta > tol:
-        raise ValueError(f"theta={theta} outside [-tau, 0] = [{-seg.tau}, 0]")
+    return _lerp(seg, theta, seg.values.__getitem__)
+
+
+def _lerp(window, theta: float, node: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Piecewise-linear evaluation of a window (``tau``, ``n_steps``, ``step``); node j is ``node(j)``."""
+    n = window.n_steps
+    delta = window.step
+    tol = NODE_SNAP_REL * max(window.tau, 1.0)
+    if theta < -window.tau - tol or theta > tol:
+        raise ValueError(f"theta={theta} outside [-tau, 0] = [{-window.tau}, 0]")
     u = theta / delta
     nearest = round(u)
     if abs(u - nearest) < NODE_SNAP_REL:
         j = min(max(int(nearest), -n), 0)
-        return seg.values[n + j]
+        return node(n + j)
     j = min(max(int(np.floor(u)), -n), -1)
     w_hi = u - j
     w_lo = (j + 1) - u
-    return w_lo * seg.values[n + j] + w_hi * seg.values[n + j + 1]
+    return w_lo * node(n + j) + w_hi * node(n + j + 1)
 
 
 def shift_append(seg: Segment, new_head) -> Segment:

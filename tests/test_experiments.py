@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sfde_tem import experiments
 from sfde_tem.errors import ConfigurationError, DegenerateFitError
 from sfde_tem.experiments import (
     ErrorTable,
@@ -97,18 +98,22 @@ class TestStrongError:
         with pytest.raises(ConfigurationError):
             strong_error(m, [2.0**-5], 2.0**-8, 1.0, 10, 0)
 
-    def test_chunking_does_not_change_estimates(self):
+    def test_chunking_does_not_change_estimates(self, monkeypatch):
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
-        t_one = strong_error(m, steps, 2.0**-8, 1.0, 120, 3, chunk_size=120)
-        t_many = strong_error(m, steps, 2.0**-8, 1.0, 120, 3, chunk_size=32)
+        monkeypatch.setattr(experiments, "CHUNK", 120)
+        t_one = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
+        monkeypatch.setattr(experiments, "CHUNK", 32)
+        t_many = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
         assert t_one.rms_errors == pytest.approx(t_many.rms_errors, rel=1e-12)
 
-    def test_thread_count_bit_stable(self):
+    def test_repeat_call_bit_stable(self, monkeypatch):
+        # no state (e.g. the integral-term cache) leaks from one call into the next
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
-        t1 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3, chunk_size=50, threads=1)
-        t2 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3, chunk_size=50, threads=2)
+        monkeypatch.setattr(experiments, "CHUNK", 50)
+        t1 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
+        t2 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
         assert np.array_equal(t1.rms_errors, t2.rms_errors)
         assert np.array_equal(t1.std_errors, t2.std_errors)
 
@@ -135,12 +140,14 @@ class TestMomentEstimate:
         with pytest.raises(ConfigurationError):
             moment_estimate(m, SchemeConfig(2.0**-5, 1.0), 1.0, 100, 0)
 
-    def test_replica_grouping_invariance(self):
+    def test_replica_grouping_invariance(self, monkeypatch):
         # the estimator is a mean over replicas: regrouping only reassociates sums
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         cfg = SchemeConfig(2.0**-5, 1.0)
-        a = moment_estimate(m, cfg, 2.0, 120, 5, chunk_size=120)
-        b = moment_estimate(m, cfg, 2.0, 120, 5, chunk_size=40)
+        monkeypatch.setattr(experiments, "CHUNK", 120)
+        a = moment_estimate(m, cfg, 2.0, 120, 5)
+        monkeypatch.setattr(experiments, "CHUNK", 40)
+        b = moment_estimate(m, cfg, 2.0, 120, 5)
         assert a.moments == pytest.approx(b.moments, rel=1e-12)
         assert a.running_max == pytest.approx(b.running_max, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,31 @@ from sfde_tem.scheme import (
     simulate,
     tem_step,
 )
-from sfde_tem.segment import Segment, constant_segment, lerp_eval
+from sfde_tem.segment import Segment, WeightFunction, constant_segment, lerp_eval
+
+# 1 + theta on [-1/2, 0]: a weight with no recognised structure, so the
+# engine recomputes its integral by full quadrature after every shift
+_RAMP = WeightFunction(eval=lambda theta: 1.0 + theta)
+
+
+def _square(v):
+    return v[..., 0] ** 2
+
+
+def _ramp_diffusion(seg):
+    return 2.0 * np.asarray(seg.weighted_integral(_RAMP, _square))[..., None, None]
+
+
+def ramp_example1():
+    """example1 with diffusion 2 int (1 + theta) x^2(t + theta) dtheta."""
+    return dataclasses.replace(builtin_example1(), diffusion=_ramp_diffusion)
+
+
+def _batch_states(m, cfg, inc):
+    """(B, K+1, n) states of a batch run, collected through the per_step hook."""
+    states = []
+    _run_batch(m, cfg, inc, per_step=lambda k, s, pre, alive: states.append(s.copy()))
+    return np.stack(states, axis=1)
 
 
 class TestConfigValidation:
@@ -196,36 +221,39 @@ class TestBatchConsistency:
         step, horizon = 2.0**-5, 1.0
         cfg = SchemeConfig(step=step, horizon=horizon)
         incs = [sample_increments(77, r, m.dim_noise, step, 32) for r in range(3)]
-        batch = _run_batch(m, cfg, np.stack(incs), record_states=True)
+        batch = _batch_states(m, cfg, np.stack(incs))
         for r in range(3):
             single = simulate(m, cfg, incs[r])
-            assert np.array_equal(batch.states[r], single.states)
+            assert np.array_equal(batch[r], single.states)
 
     def test_batch_composition_irrelevant(self):
         m = builtin_example2()
         cfg = SchemeConfig(step=2.0**-4, horizon=1.0)
         incs = [sample_increments(5, r, 2, 2.0**-4, 16) for r in range(4)]
-        full = _run_batch(m, cfg, np.stack(incs), record_states=True)
-        halves = [
-            _run_batch(m, cfg, np.stack(incs[:2]), record_states=True),
-            _run_batch(m, cfg, np.stack(incs[2:]), record_states=True),
-        ]
-        merged = np.concatenate([halves[0].states, halves[1].states])
-        assert np.array_equal(full.states, merged)
+        full = _batch_states(m, cfg, np.stack(incs))
+        halves = [_batch_states(m, cfg, np.stack(incs[:2])), _batch_states(m, cfg, np.stack(incs[2:]))]
+        merged = np.concatenate(halves)
+        assert np.array_equal(full, merged)
 
 
 class TestRunningIntegralAccuracy:
-    def test_engine_matches_fresh_quadrature(self):
-        # replay the recursion with plain Segments (full trapezoid each step)
-        m = builtin_example1()
-        step, horizon = 2.0**-5, 1.0
-        cfg = SchemeConfig(step=step, horizon=horizon)
-        inc = sample_increments(31, 0, 1, step, 32)
+    @pytest.mark.parametrize(
+        "model_factory",
+        [builtin_example1, builtin_example2, ramp_example1],
+        ids=["example1", "example2", "ramp_weight"],
+    )
+    def test_engine_matches_fresh_quadrature(self, model_factory):
+        # replay the recursion with plain Segments (full trapezoid each step);
+        # constant, boxcar and structureless weights, 128 steps each
+        m = model_factory()
+        step, n_steps = 2.0**-5, 128
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = sample_increments(31, 0, m.dim_noise, step, n_steps)
         rec = simulate(m, cfg, inc)
         radius = truncation_radius(m.gamma, step)
         seg = init_segment(m, cfg)
         states = [seg.head.copy()]
-        for k in range(32):
+        for k in range(n_steps):
             new, _ = tem_step(m, seg, inc[k], radius)
             seg = seg.shift_append(new)
             states.append(new)
