@@ -6,6 +6,10 @@ reproduce bit-identically.  Coarse-step increments are block sums of the
 fine ones, computed with a fixed pairwise-halving tree so that coarsening
 by a*b equals coarsening by a then by b exactly (no floating-point
 reassociation) whenever the factors are powers of two.
+
+``IncrementStream`` hands a batch of replicas' increments to the driver
+time-major, one reused block of ``STREAM_BLOCK`` steps at a time, with the
+same draws as ``sample_increments``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 RATIO_REL_TOL = 1e-9
+STREAM_BLOCK = 64
 
 
 def ratio_as_int(numerator: float, denominator: float, what: str = "ratio") -> int:
@@ -61,11 +66,48 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     )
 
 
+def _generator(seed: int, replica: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+
+
 def sample_increments(seed: int, replica: int, dim_noise: int, step: float, count: int) -> np.ndarray:
     """Raw (count, dim_noise) N(0, step) draws from the (seed, replica) stream."""
-    key = np.array([seed, replica], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((count, dim_noise)) * np.sqrt(step)
+    return _generator(seed, replica).standard_normal((count, dim_noise)) * np.sqrt(step)
+
+
+class IncrementStream:
+    """Increments of replicas first..first+count-1, drawn time-major in blocks.
+
+    Iterating yields ``n_steps`` rows of shape (count, dim_noise); row k,
+    column i equals ``sample_increments(seed, first + i, dim_noise, step,
+    n_steps)[k]`` bit for bit.  Rows are views of one reused (block, count,
+    dim_noise) buffer, valid until the next row is requested, where block is
+    ``STREAM_BLOCK`` steps (fewer for shorter runs).  ``shape`` is (count,
+    n_steps, dim_noise) and ``nbytes`` the buffer's size.  Each iteration
+    restarts the replicas' streams.
+    """
+
+    def __init__(self, seed: int, first: int, count: int, dim_noise: int, step: float, n_steps: int):
+        self.seed = seed
+        self.first = first
+        self.step = step
+        self.shape = (count, n_steps, dim_noise)
+        self._buf = np.empty((max(1, min(STREAM_BLOCK, n_steps)), count, dim_noise))
+
+    @property
+    def nbytes(self) -> int:
+        return self._buf.nbytes
+
+    def __iter__(self):
+        count, n_steps, dim = self.shape
+        gens = [_generator(self.seed, self.first + i) for i in range(count)]
+        scale = np.sqrt(self.step)
+        for start in range(0, n_steps, len(self._buf)):
+            block = self._buf[: min(len(self._buf), n_steps - start)]
+            for i, gen in enumerate(gens):
+                block[:, i] = gen.standard_normal((len(block), dim))
+            block *= scale
+            yield from block
 
 
 def coarsen(grid, factor: int) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Replica r of a run draws its Brownian path from the (seed, r) counter
 stream, so every replica's path is the same however replicas are grouped.
-Replicas are simulated serially in chunks of ``CHUNK`` and each chunk's
-results are reduced in index order, so a seed reproduces every number bit
-for bit.
+Replicas are simulated serially in batches whose history ring, (N+1) * n
+floats per replica at the longest history N of the run, holds at most
+``RING_ENTRIES`` floats.  Short-history moment and stability runs are one
+batch of all replicas.  Strong-error batches also hold every fine
+increment of their replicas, so they take at most ``FINE_REPLICAS``
+replicas.  Batch results are reduced in index order, so a seed reproduces
+every number bit for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .brownian import _block_sums, ratio_as_int, sample_increments
+from .brownian import IncrementStream, _block_sums, ratio_as_int, sample_increments
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .model import SfdeModel
 from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _run_batch, resolve_grid
 from .segment import Segment, constant_weight
 
-CHUNK = 256
+RING_ENTRIES = 2**21
+FINE_REPLICAS = 256
 MOMENT_FLOOR = 1e-300
 MIN_SAMPLES = 100
 
@@ -36,6 +41,8 @@ class ErrorTable:
     fitted_slope: Optional[float]
     samples: int
     degenerate: bool = False
+    truncation_hits: Optional[np.ndarray] = None  # per entry of ``steps``
+    reference_hits: Optional[int] = None  # None when an exact terminal is the reference
 
 
 @dataclass
@@ -63,11 +70,20 @@ class StabilityReport:
     samples: int
 
 
-def _chunks(seed: int, samples: int, n_steps: int, dim: int, step: float) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (start, increments (count, n_steps, dim)) per chunk of CHUNK replicas, in index order."""
-    for start in range(0, samples, CHUNK):
-        count = min(CHUNK, samples - start)
-        yield start, np.stack([sample_increments(seed, start + i, dim, step, n_steps) for i in range(count)])
+def _batches(samples: int, n_hist: int, dim: int, cap: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+    """Yield (start, count) per batch of replicas in index order.
+
+    A batch holds at most RING_ENTRIES // ((N+1) n) replicas, and at most
+    ``cap``; the fewest batches that respect these bounds share the
+    replicas evenly.
+    """
+    most = RING_ENTRIES // ((n_hist + 1) * dim)
+    if cap is not None:
+        most = min(most, cap)
+    most = max(1, most)
+    size = -(-samples // -(-samples // most))
+    for start in range(0, samples, size):
+        yield start, min(size, samples - start)
 
 
 def strong_error(
@@ -100,21 +116,35 @@ def strong_error(
             raise ConfigurationError(f"step {s} is not step_ref * 2^j for j >= 1 (factor {f})")
         factors.append(f)
     ref_config = SchemeConfig(step=step_ref, horizon=horizon, variant=TRUNCATED_EM)
-    _, _, n_ref = resolve_grid(model, ref_config)
+    _, n_hist, n_ref = resolve_grid(model, ref_config)
     coarse_configs = [SchemeConfig(step=s, horizon=horizon, variant=TRUNCATED_EM) for s in steps]
     for cfg in coarse_configs:
         resolve_grid(model, cfg)
 
+    dim = model.dim_noise
     err_sq = np.empty((len(steps), samples))
-    for start, inc in _chunks(seed, samples, n_ref, model.dim_noise, step_ref):
+    hits = np.zeros(len(steps), dtype=np.int64)
+    ref_hits = 0
+    batches = list(_batches(samples, n_hist, model.dim_state, cap=FINE_REPLICAS))
+    fine = np.empty((n_ref, batches[0][1], dim))  # time-major, reused by every batch
+    for start, count in batches:
+        level = fine[:, :count]
+        for i in range(count):
+            level[:, i] = sample_increments(seed, start + i, dim, step_ref, n_ref)
         if exact_terminal is not None:
-            ref_term = np.asarray(exact_terminal(inc, horizon))
+            ref_term = np.asarray(exact_terminal(level.transpose(1, 0, 2), horizon))
         else:
-            ref_term = _run_batch(model, ref_config, inc, replica_offset=start).terminal
-        for i, (cfg, factor) in enumerate(zip(coarse_configs, factors)):
-            term = _run_batch(model, cfg, _block_sums(inc, factor, axis=1), replica_offset=start).terminal
-            err_sq[i, start : start + len(inc)] = np.sum((term - ref_term) ** 2, axis=-1)
-        del inc  # free this chunk's fine increments before the next chunk is drawn
+            ref = _run_batch(model, ref_config, level.transpose(1, 0, 2), replica_offset=start)
+            ref_term = ref.terminal
+            ref_hits += int(ref.truncation_hits.sum())
+        # finest coarse level first, each one block-summed from the previous
+        prev = 1
+        for i in reversed(range(len(steps))):
+            level = _block_sums(level, factors[i] // prev, axis=0)
+            prev = factors[i]
+            res = _run_batch(model, coarse_configs[i], level.transpose(1, 0, 2), replica_offset=start)
+            err_sq[i, start : start + count] = np.sum((res.terminal - ref_term) ** 2, axis=-1)
+            hits[i] += int(res.truncation_hits.sum())
     mean_sq = err_sq.mean(axis=1)
     rms = np.sqrt(mean_sq)
     se_mean = err_sq.std(axis=1, ddof=1) / math.sqrt(samples)
@@ -126,6 +156,8 @@ def strong_error(
         fitted_slope=None,
         samples=samples,
         degenerate=bool(np.any(rms <= 0.0)),
+        truncation_hits=hits,
+        reference_hits=None if exact_terminal is not None else ref_hits,
     )
     if not table.degenerate:
         table.fitted_slope = fit_rate(table)
@@ -161,7 +193,7 @@ def moment_estimate(
         raise ConfigurationError(f"moment exponent must be >= 2, got {p_exponent}")
     if samples < MIN_SAMPLES:
         raise ConfigurationError(f"moment_estimate needs at least {MIN_SAMPLES} samples, got {samples}")
-    delta, _, n_steps = resolve_grid(model, config)
+    delta, n_hist, n_steps = resolve_grid(model, config)
     classic = config.variant == CLASSIC_EM
 
     sums = np.zeros(n_steps + 1)
@@ -177,7 +209,8 @@ def moment_estimate(
             counts[k] += states.shape[0]
         sums[k] += float(pow_p.sum())
 
-    for start, inc in _chunks(seed, samples, n_steps, model.dim_noise, config.step):
+    for start, count in _batches(samples, n_hist, model.dim_state):
+        inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
         res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
         diverged += int(res.diverged.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -218,7 +251,7 @@ def stability_decay(
         raise ConfigurationError(f"stability_decay needs at least {MIN_SAMPLES} samples, got {samples}")
     if not 0.0 < tail_fraction <= 1.0:
         raise ConfigurationError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    delta, _, n_steps = resolve_grid(model, config)
+    delta, n_hist, n_steps = resolve_grid(model, config)
 
     sums_p = np.zeros(n_steps + 1)
     sums_state = np.zeros((n_steps + 1, model.dim_state))
@@ -228,9 +261,10 @@ def stability_decay(
         sums_p[k] += float(np.sum(np.sum(states * states, axis=-1) ** (0.5 * p_exponent)))
         sums_state[k] += states.sum(axis=0)
 
-    for start, inc in _chunks(seed, samples, n_steps, model.dim_noise, config.step):
+    for start, count in _batches(samples, n_hist, model.dim_state):
+        inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
         res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
-        terminal_norms[start : start + len(inc)] = np.sqrt(np.sum(res.terminal**2, axis=-1))
+        terminal_norms[start : start + count] = np.sqrt(np.sum(res.terminal**2, axis=-1))
 
     moments = sums_p / samples
     clamped = moments < MOMENT_FLOOR

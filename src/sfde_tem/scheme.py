@@ -9,9 +9,11 @@ where seg_k is the piecewise-linear history window and clip is the radial
 truncation to the ball of radius Gamma^{-1}(K Delta^-lambda).  The driver
 below simulates a whole batch of replicas at once: every operation is
 elementwise across the batch, so each replica's path is bit-identical no
-matter how replicas are grouped into batches.  Distributed-delay
-integrals inside the coefficients are kept as running trapezoid sums,
-updated in O(1) per step for constant and boxcar weights.
+matter how replicas are grouped into batches.  The batch history is a
+time-major ring of shape (N+1, B, n), so reading one history node of every
+replica touches one contiguous slot.  Distributed-delay integrals inside
+the coefficients are kept as running trapezoid sums, updated in O(1) per
+step for constant and boxcar weights.
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import BrownianGrid, ratio_as_int
+from .brownian import BrownianGrid, IncrementStream, ratio_as_int
 from .errors import ConfigurationError, NumericalError, UnsupportedPointError
 from .model import SfdeModel, clip_to_ball, truncate, truncation_radius
 from .segment import (
     NODE_SNAP_REL,
     Segment,
     WeightFunction,
-    _apply_transform,
     _lerp,
+    _per_node,
     _trapezoid_sum,
+    _vectorized,
     node_weights,
 )
 
@@ -94,12 +97,18 @@ def _apply_noise(g: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 class _IntegralTerm:
-    """Running trapezoid state for one (weight, transform) pair."""
+    """Running trapezoid state for one (weight, transform) pair.
 
-    __slots__ = ("weight", "transform", "samples", "fast", "coeff", "m_slot", "ring", "value", "h_new", "version")
+    ``ring`` holds the transformed history, (N+1, B) in the window's
+    physical slot order; only fast (constant and boxcar) terms keep it.
+    Whether the transform evaluates whole arrays in one call is decided
+    once, on the first values the term sees.
+    """
+
+    __slots__ = ("transform", "samples", "fast", "coeff", "m_slot", "ring", "value", "h_new", "version",
+                 "vectorized")
 
     def __init__(self, weight: WeightFunction, transform, window: "_SlidingWindow"):
-        self.weight = weight
         self.transform = transform
         self.samples = node_weights(weight, window.tau, window.n_steps)
         self.fast = False
@@ -115,25 +124,36 @@ class _IntegralTerm:
                 self.fast = True
                 self.m_slot = int(m)
         self.coeff = weight.plateau * window.step * 0.5
-        logical = window.logical_values()
-        h = _apply_transform(self.transform, logical)
-        self.value = _trapezoid_sum(h * self.samples, window.step)
+        values = window.initial if window.version == 0 else window.logical_values()
+        h = _vectorized(transform, values)
+        self.vectorized = h is not None
+        if h is None:
+            h = _per_node(transform, values)
+        if window.version == 0:
+            # every replica still holds the initial nodes: one value serves them all
+            self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
+            h = h[:, None]
+        else:
+            self.value = _trapezoid_sum(h * self.samples[:, None], window.step, axis=0)
         if self.fast:
-            # ring is laid out in physical slot order, aligned with the window buffer
-            ring = np.empty_like(h)
-            idx = (window._start + np.arange(n + 1)) % (n + 1)
-            ring[..., idx] = h
-            self.ring = ring
+            self.ring = np.empty((n + 1, window.batch))
+            self.ring[window.phys(np.arange(n + 1))] = h
         else:
             self.ring = None
         self.h_new = None
         self.version = window.version
 
+    def _h(self, values: np.ndarray) -> np.ndarray:
+        if self.vectorized:
+            out = np.asarray(self.transform(values))
+            if out.shape == values.shape[:-1]:
+                return out
+        return _per_node(self.transform, values)
+
     def current(self, window: "_SlidingWindow"):
         if not self.fast and self.version != window.version:
-            logical = window.logical_values()
-            h = _apply_transform(self.transform, logical)
-            self.value = _trapezoid_sum(h * self.samples, window.step)
+            h = self._h(window.logical_values())
+            self.value = _trapezoid_sum(h * self.samples[:, None], window.step, axis=0)
             self.version = window.version
         return self.value
 
@@ -141,30 +161,34 @@ class _IntegralTerm:
         if not self.fast:
             return
         n = window.n_steps
-        h_new = _apply_transform(self.transform, new_states)
-        h_head = self.ring[..., window.phys(n)]
-        h_m = self.ring[..., window.phys(self.m_slot)]
-        h_m1 = self.ring[..., window.phys(self.m_slot + 1)]
+        h_new = self._h(new_states)
+        h_head = self.ring[window.phys(n)]
+        h_m = self.ring[window.phys(self.m_slot)]
+        h_m1 = self.ring[window.phys(self.m_slot + 1)]
         self.value = self.value + self.coeff * (h_new + h_head - h_m1 - h_m)
         self.h_new = h_new
 
     def post_shift(self, window: "_SlidingWindow", slot: int):
         if self.fast:
-            self.ring[..., slot] = self.h_new
+            self.ring[slot] = self.h_new
             self.h_new = None
 
 
 class _SlidingWindow:
-    """Ring-buffered history window presenting the Segment evaluation surface.
+    """Ring-buffered history window of a batch, presenting the Segment evaluation surface.
 
-    ``buf`` has shape (B, N+1, n); logical node j (0 = oldest, N = head)
-    lives at physical slot (start + j) mod (N+1).  Shifting writes the new
-    head over the oldest slot and advances ``start``; registered integral
-    terms are updated in the same move.
+    ``buf`` is time-major, shape (N+1, B, n): logical node j (0 = oldest,
+    N = head) of every replica lives in the contiguous slot
+    (start + j) mod (N+1).  Shifting writes the new head over the oldest
+    slot and advances ``start``; registered integral terms are updated in
+    the same move.  ``initial`` is the (N+1, n) initial data every replica
+    starts from.
     """
 
-    def __init__(self, nodes: np.ndarray, tau: float):
-        self._buf = nodes
+    def __init__(self, initial: np.ndarray, batch: int, tau: float):
+        self.initial = initial
+        self._buf = np.empty((initial.shape[0], batch, initial.shape[1]))
+        self._buf[:] = initial[:, None, :]
         self.tau = tau
         self._start = 0
         self.version = 0
@@ -172,7 +196,11 @@ class _SlidingWindow:
 
     @property
     def n_steps(self) -> int:
-        return self._buf.shape[-2] - 1
+        return self._buf.shape[0] - 1
+
+    @property
+    def batch(self) -> int:
+        return self._buf.shape[1]
 
     @property
     def dim(self) -> int:
@@ -184,17 +212,16 @@ class _SlidingWindow:
 
     @property
     def head(self) -> np.ndarray:
-        return self._buf[..., self.phys(self.n_steps), :]
+        return self._buf[self.phys(self.n_steps)]
 
-    def phys(self, j: int) -> int:
+    def phys(self, j):
         return (self._start + j) % (self.n_steps + 1)
 
     def logical_values(self) -> np.ndarray:
-        idx = (self._start + np.arange(self.n_steps + 1)) % (self.n_steps + 1)
-        return self._buf[..., idx, :]
+        return self._buf[self.phys(np.arange(self.n_steps + 1))]
 
     def lerp_eval(self, theta: float) -> np.ndarray:
-        return _lerp(self, theta, lambda j: self._buf[..., self.phys(j), :])
+        return _lerp(self, theta, lambda j: self._buf[self.phys(j)])
 
     def weighted_integral(self, weight: WeightFunction, transform):
         key = (id(weight), id(transform))
@@ -208,7 +235,7 @@ class _SlidingWindow:
         slot = self._start
         for term in self._terms.values():
             term.pre_shift(self, new_states)
-        self._buf[..., slot, :] = new_states
+        self._buf[slot] = new_states
         self._start = (slot + 1) % (self.n_steps + 1)
         self.version += 1
         for term in self._terms.values():
@@ -258,13 +285,15 @@ class BatchResult:
 def _run_batch(
     model: SfdeModel,
     config: SchemeConfig,
-    increments: np.ndarray,
+    increments,
     *,
     per_step: Optional[Callable] = None,
     replica_offset: int = 0,
 ) -> BatchResult:
-    """Simulate a batch of replicas; increments has shape (B, K, d) with variance Delta.
+    """Simulate a batch of replicas on increments of shape (B, K, d) with variance Delta.
 
+    ``increments`` is an array (a transposed view of time-major (K, B, d)
+    storage reads each step's row contiguously) or an ``IncrementStream``.
     ``per_step(k, states, pre, alive)`` is invoked at every grid index
     k = 0..K with the (B, n) post-truncation states and pre-truncation
     values (the raw initial head at k = 0); the arrays are only valid during
@@ -272,19 +301,23 @@ def _run_batch(
     are independent of how replicas are batched.
     """
     delta, n_hist, n_steps = resolve_grid(model, config)
-    inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 3:
-        raise ConfigurationError(f"batch increments must have shape (B, K, d), got {inc.shape}")
-    n_batch = inc.shape[0]
-    if inc.shape[1] < n_steps:
-        raise ConfigurationError(f"need at least {n_steps} increments per replica, got {inc.shape[1]}")
-    if inc.shape[2] != model.dim_noise:
-        raise ConfigurationError(f"increments carry {inc.shape[2]} coordinates, model has {model.dim_noise}")
+    if isinstance(increments, IncrementStream):
+        shape, rows = increments.shape, increments
+    else:
+        inc = np.asarray(increments, dtype=float)
+        if inc.ndim != 3:
+            raise ConfigurationError(f"batch increments must have shape (B, K, d), got {inc.shape}")
+        shape, rows = inc.shape, inc.transpose(1, 0, 2)
+    n_batch = shape[0]
+    if shape[1] < n_steps:
+        raise ConfigurationError(f"need at least {n_steps} increments per replica, got {shape[1]}")
+    if shape[2] != model.dim_noise:
+        raise ConfigurationError(f"increments carry {shape[2]} coordinates, model has {model.dim_noise}")
 
     radius = truncation_radius(model.gamma, delta)
     truncated = config.variant == TRUNCATED_EM
     init_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=truncated)
-    window = _SlidingWindow(np.tile(init_nodes, (n_batch, 1, 1)), model.tau)
+    window = _SlidingWindow(init_nodes, n_batch, model.tau)
 
     dim = model.dim_state
     hits = np.zeros(n_batch, dtype=np.int64)
@@ -295,7 +328,7 @@ def _run_batch(
 
     g_shape = (n_batch, dim, model.dim_noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k, db in zip(range(n_steps), rows):
             head = window.head
             f = np.asarray(model.drift(window))
             g = np.asarray(model.diffusion(window))
@@ -303,7 +336,7 @@ def _run_batch(
                 raise ConfigurationError(f"drift returned shape {f.shape}, expected {head.shape}")
             if g.shape != g_shape:
                 raise ConfigurationError(f"diffusion returned shape {g.shape}, expected {g_shape}")
-            pre = head + f * delta + _apply_noise(g, inc[:, k])
+            pre = head + f * delta + _apply_noise(g, db)
             finite = np.isfinite(pre).all(axis=-1)
             if truncated:
                 if not finite.all():

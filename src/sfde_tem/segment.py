@@ -25,9 +25,15 @@ from .errors import NumericalError
 NODE_SNAP_REL = 1e-9
 
 
-def _trapezoid_sum(samples: np.ndarray, delta: float):
-    """Composite trapezoid over the last axis: delta * (sum - half end nodes)."""
-    return delta * (np.sum(samples, axis=-1) - 0.5 * (samples[..., 0] + samples[..., -1]))
+def _trapezoid_sum(samples: np.ndarray, delta: float, axis: int = -1):
+    """Composite trapezoid over one axis: delta * (sum - half end nodes).
+
+    Nodes are added one after another whatever the other axes hold, so the
+    integral of a batch of replicas equals each replica's own integral bit
+    for bit.
+    """
+    nodes = np.moveaxis(samples, axis, 0)
+    return delta * (np.add.accumulate(nodes, axis=0)[-1] - 0.5 * (nodes[0] + nodes[-1]))
 
 
 def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
@@ -37,14 +43,23 @@ def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
     ``...`` indexing, e.g. ``lambda v: v[..., 0] ** 2``) are evaluated in
     one call, anything else falls back to a per-node loop.
     """
+    out = _vectorized(transform, values)
+    return _per_node(transform, values) if out is None else out
+
+
+def _vectorized(transform, values: np.ndarray) -> Optional[np.ndarray]:
+    """transform(values) when it evaluates in one call to shape values.shape[:-1], else None."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = np.asarray(transform(values))
     except Exception:
-        out = None
-    if out is not None and out.shape == values.shape[:-1]:
-        return out
+        return None
+    return out if out.shape == values.shape[:-1] else None
+
+
+def _per_node(transform, values: np.ndarray) -> np.ndarray:
+    """transform applied to one (n,) node vector at a time."""
     flat = values.reshape(-1, values.shape[-1])
     out = np.array([float(transform(v)) for v in flat])
     return out.reshape(values.shape[:-1])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sfde_tem import brownian
 from sfde_tem.brownian import (
+    IncrementStream,
     _block_sums,
     coarsen,
     generate,
@@ -86,6 +88,28 @@ class TestCoarsen:
         stacked = _block_sums(np.stack([a, b]), 4, axis=1)
         assert np.array_equal(stacked[0], coarsen(a, 4))
         assert np.array_equal(stacked[1], coarsen(b, 4))
+
+
+class TestIncrementStream:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_rows_match_sample_increments(self, monkeypatch, dim, block):
+        step, n_steps = 2.0**-6, 100  # 100 is not a multiple of 7 or 64: a short last block
+        monkeypatch.setattr(brownian, "STREAM_BLOCK", block)
+        stream = IncrementStream(17, 5, 3, dim, step, n_steps)
+        rows = np.stack([row.copy() for row in stream])
+        assert rows.shape == (n_steps, 3, dim)
+        for i in range(3):
+            assert np.array_equal(rows[:, i], sample_increments(17, 5 + i, dim, step, n_steps))
+
+    def test_shape_nbytes_and_restart(self, monkeypatch):
+        monkeypatch.setattr(brownian, "STREAM_BLOCK", 3)
+        stream = IncrementStream(2, 0, 4, 2, 0.25, 10)
+        assert stream.shape == (4, 10, 2)
+        assert stream.nbytes == 3 * 4 * 2 * 8
+        first = np.stack([row.copy() for row in stream])
+        again = np.stack([row.copy() for row in stream])
+        assert np.array_equal(first, again)
 
 
 class TestRatioAsInt:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sfde_tem import experiments
+from sfde_tem.brownian import coarsen, sample_increments
 from sfde_tem.errors import ConfigurationError, DegenerateFitError
 from sfde_tem.experiments import (
     ErrorTable,
@@ -14,8 +16,8 @@ from sfde_tem.experiments import (
     stability_decay,
     strong_error,
 )
-from sfde_tem.model import builtin_example2, builtin_gbm_oracle, gbm_closed_form
-from sfde_tem.scheme import CLASSIC_EM, SchemeConfig
+from sfde_tem.model import builtin_example1, builtin_example2, builtin_gbm_oracle, gbm_closed_form
+from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _run_batch
 from sfde_tem.segment import Segment, constant_segment
 
 
@@ -99,11 +101,13 @@ class TestStrongError:
             strong_error(m, [2.0**-5], 2.0**-8, 1.0, 10, 0)
 
     def test_chunking_does_not_change_estimates(self, monkeypatch):
+        # the reference level has N = 8 history steps: 9 ring entries per replica
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
-        monkeypatch.setattr(experiments, "CHUNK", 120)
+        monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 120)
         t_one = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
-        monkeypatch.setattr(experiments, "CHUNK", 32)
+        monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 32)
+        assert len(list(experiments._batches(120, 8, 1))) == 4
         t_many = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
         assert t_one.rms_errors == pytest.approx(t_many.rms_errors, rel=1e-12)
 
@@ -111,11 +115,75 @@ class TestStrongError:
         # no state (e.g. the integral-term cache) leaks from one call into the next
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
-        monkeypatch.setattr(experiments, "CHUNK", 50)
+        monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 50)
+        assert len(list(experiments._batches(150, 8, 1))) == 3
         t1 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
         t2 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
         assert np.array_equal(t1.rms_errors, t2.rms_errors)
         assert np.array_equal(t1.std_errors, t2.std_errors)
+
+    def test_truncation_hits_per_level(self):
+        m = builtin_example1()
+        steps, step_ref, horizon, samples, seed = [2.0**-3, 2.0**-4], 2.0**-6, 2.0, 100, 4
+        table = strong_error(m, steps, step_ref, horizon, samples, seed)
+        fine = np.stack([sample_increments(seed, r, 1, step_ref, 128) for r in range(samples)])
+        for step, hits in zip(steps, table.truncation_hits):
+            level = np.stack([coarsen(inc, round(step / step_ref)) for inc in fine])
+            expected = _run_batch(m, SchemeConfig(step=step, horizon=horizon), level).truncation_hits.sum()
+            assert hits == expected
+        assert table.truncation_hits[0] > 0  # example1 clips at the coarsest step
+        ref = _run_batch(m, SchemeConfig(step=step_ref, horizon=horizon), fine).truncation_hits.sum()
+        assert table.reference_hits == ref
+
+    def test_oracle_reference_has_no_hits(self):
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        oracle = gbm_closed_form(1.0, 0.5, 1.0)
+        table = strong_error(m, [2.0**-5, 2.0**-6], 2.0**-8, 1.0, 100, 2, exact_terminal=oracle)
+        assert table.reference_hits is None
+        assert table.truncation_hits.tolist() == [0, 0]
+
+    @pytest.mark.parametrize(
+        "ref_exponent, horizon",
+        [(14, 0.25), (10, 2.0)],
+        ids=["criterion1_shape", "long_horizon"],
+    )
+    def test_memory_bounded_by_rings_and_one_fine_buffer(self, ref_exponent, horizon):
+        # criterion 1's shape at T = 1/4 (history N = 8192 > K = 4096 steps), where
+        # the rings dominate, and a run with K = 2048 > N = 512, where the fine
+        # increments do
+        m = builtin_example1()
+        step_ref = 2.0**-ref_exponent
+        steps = [2.0**-j for j in (5, 6, 7, 8, 10) if j < ref_exponent]
+        n_hist, n_ref, samples = round(m.tau / step_ref), round(horizon / step_ref), 256
+        batch = max(count for _, count in experiments._batches(samples, n_hist, 1))
+        # the window ring and the integral ring, (N+1, B) floats each, plus the
+        # (K, B) fine increments and 2 MB for the interpreter; a per-replica
+        # copy of the initial integrals or a second copy of the fine
+        # increments does not fit
+        expected = 8 * batch * (2 * (n_hist + 1) + n_ref) + 2e6
+        tracemalloc.start()
+        try:
+            strong_error(m, steps, step_ref, horizon, samples, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < expected
+
+    def test_memory_does_not_grow_with_samples_at_short_history(self):
+        # the oracle's history is N = 128 steps against K = 4096 fine steps, so
+        # the rings would allow every replica in one batch; the fine increments
+        # bound the batch instead
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        oracle = gbm_closed_form(1.0, 0.5, 1.0)
+        peaks = []
+        for samples in (experiments.FINE_REPLICAS, 1000):
+            tracemalloc.start()
+            try:
+                strong_error(m, [2.0**-5, 2.0**-6], 2.0**-12, 1.0, samples, 1, exact_terminal=oracle)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 class TestMomentEstimate:
@@ -141,12 +209,14 @@ class TestMomentEstimate:
             moment_estimate(m, SchemeConfig(2.0**-5, 1.0), 1.0, 100, 0)
 
     def test_replica_grouping_invariance(self, monkeypatch):
-        # the estimator is a mean over replicas: regrouping only reassociates sums
+        # the estimator is a mean over replicas: regrouping only reassociates sums;
+        # N = 1 history step, so 2 ring entries per replica
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         cfg = SchemeConfig(2.0**-5, 1.0)
-        monkeypatch.setattr(experiments, "CHUNK", 120)
+        monkeypatch.setattr(experiments, "RING_ENTRIES", 2 * 120)
         a = moment_estimate(m, cfg, 2.0, 120, 5)
-        monkeypatch.setattr(experiments, "CHUNK", 40)
+        monkeypatch.setattr(experiments, "RING_ENTRIES", 2 * 40)
+        assert len(list(experiments._batches(120, 1, 1))) == 3
         b = moment_estimate(m, cfg, 2.0, 120, 5)
         assert a.moments == pytest.approx(b.moments, rel=1e-12)
         assert a.running_max == pytest.approx(b.running_max, rel=1e-12)

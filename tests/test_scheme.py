@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sfde_tem.brownian import BrownianGrid, coarsen, generate, sample_increments
+from sfde_tem import brownian
+from sfde_tem.brownian import BrownianGrid, IncrementStream, coarsen, generate, sample_increments
 from sfde_tem.errors import ConfigurationError, UnsupportedPointError
 from sfde_tem.model import (
     builtin_example1,
@@ -225,6 +226,35 @@ class TestBatchConsistency:
         for r in range(3):
             single = simulate(m, cfg, incs[r])
             assert np.array_equal(batch[r], single.states)
+
+    @pytest.mark.parametrize(
+        "model_factory",
+        [builtin_example1, builtin_example2, ramp_example1],
+        ids=["example1", "example2", "ramp_weight"],
+    )
+    @pytest.mark.parametrize("source", ["time_major_view", "stream"])
+    def test_batch_terminals_and_hits_match_single_runs(self, monkeypatch, model_factory, source):
+        # N = 8 history steps, enough for the order of the node sums to matter;
+        # example1 clips at this step, and the ramp weight recomputes its integral
+        m = model_factory()
+        step = 2.0**-4
+        n_steps, seed, first, count = 48, 8, 3, 5
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        time_major = np.stack(
+            [sample_increments(seed, first + i, m.dim_noise, step, n_steps) for i in range(count)], axis=1
+        )
+        if source == "stream":
+            monkeypatch.setattr(brownian, "STREAM_BLOCK", 7)
+            inc = IncrementStream(seed, first, count, m.dim_noise, step, n_steps)
+        else:
+            inc = time_major.transpose(1, 0, 2)
+        res = _run_batch(m, cfg, inc)
+        for i in range(count):
+            single = simulate(m, cfg, time_major[:, i])
+            assert np.array_equal(res.terminal[i], single.states[-1])
+            assert res.truncation_hits[i] == single.truncation_hits
+        if model_factory is builtin_example1:
+            assert res.truncation_hits.sum() > 0
 
     def test_batch_composition_irrelevant(self):
         m = builtin_example2()
