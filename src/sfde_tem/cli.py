@@ -203,7 +203,7 @@ def run(config: RunConfig) -> int:
         )
         rows = zip(table.steps, table.rms_errors, table.std_errors)
         _write_csv(config.output_path, "delta,rms_error,std_error", rows)
-        print("slope=degenerate" if table.degenerate else f"slope={_fmt(table.fitted_slope)}")
+        print("slope=degenerate" if table.fitted_slope is None else f"slope={_fmt(table.fitted_slope)}")
     elif config.command == "stability":
         report = experiments.stability_decay(
             model,

@@ -23,7 +23,7 @@ from .brownian import IncrementStream, _block_sums, ratio_as_int, sample_increme
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .model import SfdeModel
 from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _run_batch, resolve_grid
-from .segment import Segment, constant_weight
+from .segment import Segment, _sum_last_axis, constant_weight
 
 RING_ENTRIES = 2**21
 FINE_REPLICAS = 256
@@ -33,7 +33,11 @@ MIN_SAMPLES = 100
 
 @dataclass
 class ErrorTable:
-    """Per-step-size RMS terminal errors and the fitted log-log slope."""
+    """Per-step-size RMS terminal errors and the fitted log-log slope.
+
+    ``degenerate`` marks a table no slope can be fitted to (a single step
+    size, or a zero RMS error); its ``fitted_slope`` is None.
+    """
 
     steps: np.ndarray
     rms_errors: np.ndarray
@@ -155,7 +159,7 @@ def strong_error(
         std_errors=std_errors,
         fitted_slope=None,
         samples=samples,
-        degenerate=bool(np.any(rms <= 0.0)),
+        degenerate=len(steps) < 2 or bool(np.any(rms <= 0.0)),
         truncation_hits=hits,
         reference_hits=None if exact_terminal is not None else ref_hits,
     )
@@ -201,7 +205,7 @@ def moment_estimate(
     diverged = 0
 
     def observe(k, states, pre, alive):
-        pow_p = np.sum(states * states, axis=-1) ** (0.5 * p_exponent)
+        pow_p = _sum_last_axis(states * states) ** (0.5 * p_exponent)
         if classic:
             pow_p = np.where(alive, pow_p, 0.0)
             counts[k] += int(alive.sum())
@@ -258,7 +262,7 @@ def stability_decay(
     terminal_norms = np.empty(samples)
 
     def observe(k, states, pre, alive):
-        sums_p[k] += float(np.sum(np.sum(states * states, axis=-1) ** (0.5 * p_exponent)))
+        sums_p[k] += float(np.sum(_sum_last_axis(states * states) ** (0.5 * p_exponent)))
         sums_state[k] += states.sum(axis=0)
 
     for start, count in _batches(samples, n_hist, model.dim_state):

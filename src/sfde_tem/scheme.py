@@ -13,7 +13,13 @@ matter how replicas are grouped into batches.  The batch history is a
 time-major ring of shape (N+1, B, n), so reading one history node of every
 replica touches one contiguous slot.  Distributed-delay integrals inside
 the coefficients are kept as running trapezoid sums, updated in O(1) per
-step for constant and boxcar weights.
+step for constant and boxcar weights and recomputed from the ring every N
+steps.  A step costs a fixed handful of whole-batch array operations, so
+the driver keeps per-step overhead down: one finiteness check per step,
+column sums over short trailing axes (``segment._sum_last_axis``), and
+slot indices from the cached ring start.  The builtin coefficients it
+calls write cubes as products (``h * h * h``), which numpy evaluates far
+faster than ``h**3``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .segment import (
     WeightFunction,
     _lerp,
     _per_node,
+    _sum_last_axis,
     _trapezoid_sum,
     _vectorized,
     node_weights,
@@ -93,7 +100,7 @@ class PathRecord:
 
 def _apply_noise(g: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Contract the diffusion matrix (..., n, d) with increments (..., d)."""
-    return np.sum(g * db[..., None, :], axis=-1)
+    return _sum_last_axis(g * db[..., None, :])
 
 
 class _IntegralTerm:
@@ -101,8 +108,11 @@ class _IntegralTerm:
 
     ``ring`` holds the transformed history, (N+1, B) in the window's
     physical slot order; only fast (constant and boxcar) terms keep it.
-    Whether the transform evaluates whole arrays in one call is decided
-    once, on the first values the term sees.
+    Fast terms update ``value`` in O(1) per shift and recompute it from the
+    ring every N shifts (``resync``), so rounding carried over from values
+    that have left the window does not pile up.  Whether the transform
+    evaluates whole arrays in one call is decided once, on the first values
+    the term sees.
     """
 
     __slots__ = ("transform", "samples", "fast", "coeff", "m_slot", "ring", "value", "h_new", "version",
@@ -157,21 +167,40 @@ class _IntegralTerm:
             self.version = window.version
         return self.value
 
-    def pre_shift(self, window: "_SlidingWindow", new_states: np.ndarray):
+    def pre_shift(self, new_states: np.ndarray, start: int):
+        """Slide ``value`` by one node; the oldest node sits in slot ``start``."""
         if not self.fast:
             return
-        n = window.n_steps
+        ring = self.ring
+        slots = ring.shape[0]
         h_new = self._h(new_states)
-        h_head = self.ring[window.phys(n)]
-        h_m = self.ring[window.phys(self.m_slot)]
-        h_m1 = self.ring[window.phys(self.m_slot + 1)]
+        h_head = ring[start - 1]
+        h_m = ring[(start + self.m_slot) % slots]
+        h_m1 = ring[(start + self.m_slot + 1) % slots]
         self.value = self.value + self.coeff * (h_new + h_head - h_m1 - h_m)
         self.h_new = h_new
 
-    def post_shift(self, window: "_SlidingWindow", slot: int):
+    def post_shift(self, slot: int):
         if self.fast:
             self.ring[slot] = self.h_new
             self.h_new = None
+
+    def resync(self, start: int, step: float):
+        """Recompute a fast term's value from its ring; the oldest node sits in slot ``start``.
+
+        The trapezoid of ``_trapezoid_sum``, nodes added one after another
+        in window order, one ring row at a time: the same arithmetic for
+        every replica at any batch size, and no copy of the ring.
+        """
+        if not self.fast:
+            return
+        ring, w = self.ring, self.samples
+        slots = ring.shape[0]
+        m = self.m_slot
+        total = w[m] * ring[(start + m) % slots]
+        for j in range(m + 1, slots):
+            total = total + w[j] * ring[(start + j) % slots]
+        self.value = step * (total - 0.5 * (w[0] * ring[start] + w[-1] * ring[start - 1]))
 
 
 class _SlidingWindow:
@@ -181,8 +210,8 @@ class _SlidingWindow:
     N = head) of every replica lives in the contiguous slot
     (start + j) mod (N+1).  Shifting writes the new head over the oldest
     slot and advances ``start``; registered integral terms are updated in
-    the same move.  ``initial`` is the (N+1, n) initial data every replica
-    starts from.
+    the same move.  ``head`` is the (B, n) view of the newest slot.
+    ``initial`` is the (N+1, n) initial data every replica starts from.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float):
@@ -190,7 +219,9 @@ class _SlidingWindow:
         self._buf = np.empty((initial.shape[0], batch, initial.shape[1]))
         self._buf[:] = initial[:, None, :]
         self.tau = tau
+        self._slots = initial.shape[0]
         self._start = 0
+        self.head = self._buf[-1]
         self.version = 0
         self._terms = {}
 
@@ -210,12 +241,8 @@ class _SlidingWindow:
     def step(self) -> float:
         return self.tau / self.n_steps
 
-    @property
-    def head(self) -> np.ndarray:
-        return self._buf[self.phys(self.n_steps)]
-
     def phys(self, j):
-        return (self._start + j) % (self.n_steps + 1)
+        return (self._start + j) % self._slots
 
     def logical_values(self) -> np.ndarray:
         return self._buf[self.phys(np.arange(self.n_steps + 1))]
@@ -233,13 +260,18 @@ class _SlidingWindow:
 
     def shift(self, new_states: np.ndarray) -> None:
         slot = self._start
-        for term in self._terms.values():
-            term.pre_shift(self, new_states)
+        terms = self._terms.values()
+        for term in terms:
+            term.pre_shift(new_states, slot)
         self._buf[slot] = new_states
-        self._start = (slot + 1) % (self.n_steps + 1)
+        self.head = self._buf[slot]
+        self._start = (slot + 1) % self._slots
         self.version += 1
-        for term in self._terms.values():
-            term.post_shift(self, slot)
+        for term in terms:
+            term.post_shift(slot)
+        if self.version % (self._slots - 1) == 0:
+            for term in terms:
+                term.resync(self._start, self.step)
 
 
 def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:
@@ -251,7 +283,7 @@ def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:
 
 def _initial_nodes(model: SfdeModel, delta: float, n_hist: int, truncated: bool = True):
     # the classic scheme clips nothing, including its initial data
-    raw = np.stack([model.initial_vector((j - n_hist) * delta) for j in range(n_hist + 1)])
+    raw = model.initial_path([(j - n_hist) * delta for j in range(n_hist + 1)])
     if not truncated:
         return raw, raw
     radius = truncation_radius(model.gamma, delta)
@@ -337,10 +369,9 @@ def _run_batch(
             if g.shape != g_shape:
                 raise ConfigurationError(f"diffusion returned shape {g.shape}, expected {g_shape}")
             pre = head + f * delta + _apply_noise(g, db)
-            finite = np.isfinite(pre).all(axis=-1)
             if truncated:
-                if not finite.all():
-                    bad = int(np.argmax(~finite))
+                if not np.isfinite(pre).all():
+                    bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
                     raise NumericalError(
                         "truncated scheme produced a non-finite state (internal error)",
                         replica=replica_offset + bad,
@@ -351,6 +382,7 @@ def _run_batch(
                 new, over = clip_to_ball(pre, radius)
                 hits += over
             else:
+                finite = np.isfinite(pre).all(axis=-1)
                 newly_dead = alive & ~finite
                 if newly_dead.any():
                     div_step[newly_dead] = k + 1

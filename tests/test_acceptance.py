@@ -1,6 +1,8 @@
 """Acceptance gate: each criterion runs at its stated tolerance and prints
 one pass/fail line.  Criteria 1, 2 and 4 are Monte Carlo runs at full scale
-(M = 1000) and dominate the suite's runtime (a few minutes on two cores)."""
+(M = 1000) and dominate the suite's runtime (criterion 1 alone takes about
+40 s on two cores).  Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite quickly."""
 
 import math
 import time
@@ -13,6 +15,8 @@ from sfde_tem.brownian import sample_increments
 from sfde_tem.cli import main as cli_main
 
 SEED = 42
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(name: str, ok: bool, detail: str, started: float) -> bool:

@@ -145,6 +145,18 @@ class TestRun:
 
 
 class TestMainExitCodes:
+    def test_single_step_convergence_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        code = main(
+            ["convergence", "--model", "gbm", "--steps", "5", "--ref-exponent", "7",
+             "--horizon", "1", "--samples", "100", "--output", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "delta,rms_error,std_error"
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 2.0**-5
+        assert capsys.readouterr().out.strip() == "slope=degenerate"
+
     def test_config_error_exit_two(self, capsys):
         assert main(["simulate", "--model", "heston"]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -63,6 +63,15 @@ class TestStrongError:
         assert table.degenerate
         assert table.fitted_slope is None
 
+    def test_single_step_returns_table_without_slope(self):
+        a, b, x0 = 1.0, 0.5, 1.0
+        m = builtin_gbm_oracle(a, b, x0)
+        table = strong_error(m, [2.0**-5], 2.0**-7, 1.0, 100, 2, exact_terminal=gbm_closed_form(a, b, x0))
+        assert table.steps.tolist() == [2.0**-5]
+        assert table.rms_errors.shape == (1,) and table.rms_errors[0] > 0.0
+        assert table.degenerate
+        assert table.fitted_slope is None
+
     def test_oracle_slope_and_reference_agreement(self):
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-j for j in (5, 6, 7, 8)]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sfde_tem import brownian
+from sfde_tem import model as model_module
 from sfde_tem.brownian import BrownianGrid, IncrementStream, coarsen, generate, sample_increments
-from sfde_tem.errors import ConfigurationError, UnsupportedPointError
+from sfde_tem.errors import ConfigurationError, NumericalError, UnsupportedPointError
 from sfde_tem.model import (
     builtin_example1,
     builtin_example2,
@@ -339,3 +340,93 @@ class TestContinuousExtension:
         m, grid, rec = self._small_setup()
         with pytest.raises(ValueError):
             continuous_extension(rec, m, grid, 1.5)
+
+
+class TestRunningIntegralResync:
+    def test_example2_long_horizon_matches_full_quadrature(self, monkeypatch):
+        # On a decaying path the O(1) sliding update alone keeps a rounding
+        # floor from earlier, larger window values: at T = 40 it read
+        # mean log|Y(T)| = -39 where full quadrature gives -98.
+        step, horizon, count = 2.0**-6, 40.0, 64
+        cfg = SchemeConfig(step=step, horizon=horizon)
+        m = builtin_example2()
+        n_steps = resolve_grid(m, cfg)[2]
+
+        def mean_log_norm():
+            inc = IncrementStream(12, 0, count, m.dim_noise, step, n_steps)
+            terminal = _run_batch(m, cfg, inc).terminal
+            return float(np.mean(np.log(np.sqrt(np.sum(terminal**2, axis=-1)))))
+
+        fast = mean_log_norm()
+        # the same weights without recognised structure: full quadrature every step
+        for name in ("_EX2_BOX", "_EX2_LEBESGUE"):
+            monkeypatch.setattr(model_module, name, dataclasses.replace(getattr(model_module, name), kind=None))
+        slow = mean_log_norm()
+        assert slow < -80.0
+        assert fast == pytest.approx(slow, abs=1e-9)
+
+
+class TestDriverErrors:
+    def test_nan_drift_in_one_replica_names_replica_and_step(self):
+        base = builtin_example1()
+        calls = []
+
+        def drift(seg):
+            f = base.drift(seg)
+            calls.append(None)
+            if len(calls) == 4:
+                f[2] = np.nan
+            return f
+
+        m = dataclasses.replace(base, drift=drift)
+        cfg = SchemeConfig(step=2.0**-4, horizon=1.0)
+        inc = np.stack([sample_increments(3, r, 1, 2.0**-4, 16) for r in range(5)])
+        with pytest.raises(NumericalError) as info:
+            _run_batch(m, cfg, inc, replica_offset=10)
+        context = info.value.context
+        assert context["replica"] == 12
+        assert context["step"] == 4
+        assert math.isfinite(context["head_norm"])
+        assert context["radius"] == truncation_radius(m.gamma, 2.0**-4)
+
+    @pytest.mark.parametrize(
+        "initial_data",
+        [
+            lambda theta: np.array([theta, 0.0]) if theta == -0.25 else np.array([theta]),
+            lambda theta: np.array([[theta]]) if theta == -0.25 else np.array([theta]),
+        ],
+        ids=["ragged", "extra_axis"],
+    )
+    def test_misshaped_initial_data_names_theta(self, initial_data):
+        m = builtin_example1(initial_data=initial_data)
+        cfg = SchemeConfig(step=2.0**-3, horizon=1.0)  # nodes at theta = -1/2, -3/8, ..., 0
+        with pytest.raises(ConfigurationError, match=r"theta=-0\.25 "):
+            init_segment(m, cfg)
+        inc = sample_increments(0, 0, 1, 2.0**-3, 8)
+        with pytest.raises(ConfigurationError, match=r"theta=-0\.25 "):
+            simulate(m, cfg, inc)
+
+    def test_wrong_dimension_everywhere_names_first_theta(self):
+        m = builtin_example1(initial_data=lambda theta: np.array([theta, 1.0]))
+        with pytest.raises(ConfigurationError, match=r"theta=-0\.5 has shape \(2,\), expected \(1,\)"):
+            init_segment(m, SchemeConfig(step=2.0**-3, horizon=1.0))
+
+    @pytest.mark.parametrize(
+        "initial_data",
+        [lambda theta: theta - 1.0, lambda theta: theta - 1.0 if theta < -0.2 else np.array([theta - 1.0])],
+        ids=["scalar", "mixed"],
+    )
+    def test_scalar_initial_data_accepted(self, initial_data):
+        m = builtin_example1(initial_data=initial_data)
+        seg = init_segment(m, SchemeConfig(step=2.0**-3, horizon=1.0))
+        assert seg.values[:, 0].tolist() == [(j - 4) * 2.0**-3 - 1.0 for j in range(5)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_data_names_theta(self, bad):
+        m = builtin_example1(initial_data=lambda theta: np.array([bad if theta == -0.125 else theta]))
+        cfg = SchemeConfig(step=2.0**-3, horizon=1.0)
+        with pytest.raises(NumericalError, match=r"theta=-0\.125\)") as info:
+            init_segment(m, cfg)
+        assert info.value.context["theta"] == -0.125
+        with pytest.raises(NumericalError, match=r"theta=-0\.125\)"):
+            _run_batch(m, dataclasses.replace(cfg, variant=CLASSIC_EM), sample_increments(0, 0, 1, 2.0**-3, 8)[None])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from sfde_tem.errors import NumericalError
 from sfde_tem.segment import (
     Segment,
+    _sum_last_axis,
     boxcar_weight,
     constant_segment,
     constant_weight,
@@ -184,3 +185,37 @@ class TestSegmentValidation:
         seg = scalar_segment([1.0, 2.0], tau=1.0)
         with pytest.raises(ValueError):
             seg.values[0] = 9.0
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+class TestSumLastAxis:
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_byte_identical_to_numpy_sum_up_to_nan_payload(self, length, rows, data):
+        values = data.draw(
+            st.lists(
+                st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=rows * length,
+                max_size=rows * length,
+            )
+        )
+        a = np.array(values, dtype=float).reshape(rows, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = np.sum(a, axis=-1)
+            got = _sum_last_axis(a)
+        # when two NaNs meet, which one survives (its sign bit) depends on
+        # operand order inside numpy's loops, e.g. [inf, -inf, nan]
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    def test_three_axes_and_one_dimensional_input(self):
+        a = np.arange(12.0).reshape(2, 3, 2) - 5.5
+        assert _sum_last_axis(a).tobytes() == np.sum(a, axis=-1).tobytes()
+        v = np.array([-0.0, -0.0])
+        assert np.asarray(_sum_last_axis(v)).tobytes() == np.asarray(np.sum(v)).tobytes()
