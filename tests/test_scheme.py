@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfde_tem import brownian
 from sfde_tem import model as model_module
@@ -26,7 +27,14 @@ from sfde_tem.scheme import (
     simulate,
     tem_step,
 )
-from sfde_tem.segment import Segment, WeightFunction, constant_segment, lerp_eval
+from sfde_tem.segment import (
+    Segment,
+    WeightFunction,
+    boxcar_weight,
+    constant_segment,
+    constant_weight,
+    lerp_eval,
+)
 
 # 1 + theta on [-1/2, 0]: a weight with no recognised structure, so the
 # engine recomputes its integral by full quadrature after every shift
@@ -35,6 +43,10 @@ _RAMP = WeightFunction(eval=lambda theta: 1.0 + theta)
 
 def _square(v):
     return v[..., 0] ** 2
+
+
+def _first(v):
+    return v[..., 0]
 
 
 def _ramp_diffusion(seg):
@@ -289,6 +301,43 @@ class TestRunningIntegralAccuracy:
             seg = seg.shift_append(new)
             states.append(new)
         assert np.allclose(np.stack(states), rec.states, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        exponent=st.integers(3, 5),
+        data=st.data(),
+        variant=st.sampled_from([TRUNCATED_EM, CLASSIC_EM]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_boxcar_on_any_node_matches_segment_replay(self, exponent, data, variant, seed):
+        # a boxcar [-(N - m) Delta, 0] on a random node m and a constant
+        # weight, over N+1..3N+1 steps so the running sums resync at least once
+        step = 2.0**-exponent
+        base = builtin_example1()
+        n_hist = resolve_grid(base, SchemeConfig(step=step, horizon=1.0))[1]
+        m_node = data.draw(st.integers(1, n_hist - 1), label="m")
+        n_steps = data.draw(st.integers(n_hist + 1, 3 * n_hist + 1), label="steps")
+        box = boxcar_weight(-(n_hist - m_node) * step, 0.0, value=data.draw(st.floats(0.5, 2.0), label="box"))
+        flat = constant_weight(data.draw(st.floats(0.5, 2.0), label="flat"))
+
+        def drift(seg):
+            h = seg.head[..., 0]
+            return (h - h * h * h + np.asarray(seg.weighted_integral(box, _first)))[..., None]
+
+        def diffusion(seg):
+            return 0.5 * np.asarray(seg.weighted_integral(flat, _square))[..., None, None]
+
+        m = dataclasses.replace(base, drift=drift, diffusion=diffusion)
+        cfg = SchemeConfig(step=step, horizon=n_steps * step, variant=variant)
+        inc = np.stack([sample_increments(seed, r, 1, step, n_steps) for r in range(3)])
+        res = _run_batch(m, cfg, inc)
+        radius = truncation_radius(m.gamma, step)
+        for r in range(3):
+            seg = init_segment(m, cfg)
+            for k in range(n_steps):
+                new, pre = tem_step(m, seg, inc[r, k], radius)
+                seg = seg.shift_append(new if variant == TRUNCATED_EM else pre)
+            assert np.allclose(res.terminal[r], seg.head, atol=1e-10)
 
 
 class TestContinuousExtension:
