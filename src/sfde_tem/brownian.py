@@ -125,17 +125,22 @@ def coarsen(grid, factor: int) -> np.ndarray:
     return _block_sums(inc, factor, axis=0)
 
 
+def _halve(a: np.ndarray, axis: int) -> np.ndarray:
+    """One level of the pairwise tree: element 2i plus element 2i+1 along ``axis``."""
+    even = [slice(None)] * a.ndim
+    odd = [slice(None)] * a.ndim
+    even[axis] = slice(0, None, 2)
+    odd[axis] = slice(1, None, 2)
+    return a[tuple(even)] + a[tuple(odd)]
+
+
 def _block_sums(inc: np.ndarray, factor: int, axis: int) -> np.ndarray:
     if factor == 1:
         return inc.copy()
     if factor & (factor - 1) == 0:
         out = inc
         while factor > 1:
-            lo = [slice(None)] * out.ndim
-            hi = [slice(None)] * out.ndim
-            lo[axis] = slice(0, None, 2)
-            hi[axis] = slice(1, None, 2)
-            out = out[tuple(lo)] + out[tuple(hi)]
+            out = _halve(out, axis)
             factor //= 2
         return out
     shape = list(inc.shape)
@@ -160,11 +165,7 @@ def total_increment(increments: np.ndarray) -> np.ndarray:
 def _tree_total(inc: np.ndarray, axis: int) -> np.ndarray:
     out = inc
     while out.shape[axis] > 1 and out.shape[axis] % 2 == 0:
-        lo = [slice(None)] * out.ndim
-        hi = [slice(None)] * out.ndim
-        lo[axis] = slice(0, None, 2)
-        hi[axis] = slice(1, None, 2)
-        out = out[tuple(lo)] + out[tuple(hi)]
+        out = _halve(out, axis)
     total = out.take(0, axis=axis)
     for i in range(1, out.shape[axis]):
         total = total + out.take(i, axis=axis)

@@ -10,14 +10,12 @@ Commands
 Configuration comes from a flat ``key = value`` file (``#`` comments) with
 command-line flags overriding file values.  Numbers are serialized with 17
 significant digits, and identical config + seed reproduces identical CSV
-bytes.  Runs are serial; ``SFDE_TEM_THREADS`` is still validated (it must be
-an integer) for compatibility with older scripts, but has no effect.
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
@@ -158,17 +156,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError(f"key 'seed' must be nonnegative, got {config.seed}")
 
 
-def _check_threads_env() -> None:
-    """Reject a non-integer SFDE_TEM_THREADS; the value itself has no effect."""
-    raw = os.environ.get("SFDE_TEM_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"SFDE_TEM_THREADS must be an integer, got '{raw}'") from exc
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -182,7 +169,6 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; writes CSV artifacts and prints one summary line."""
-    _check_threads_env()
     model = get_model(config.model_name, config.model_params)
     step0 = 2.0 ** (-config.step_exponents[0])
 

@@ -180,6 +180,14 @@ def fit_rate(table: ErrorTable) -> float:
     return float(slope)
 
 
+def _report_index(n_steps: int, report_every: int) -> np.ndarray:
+    """Grid indices 0, r, 2r, ... of the reported points, always ending at the last index K."""
+    idx = np.arange(0, n_steps + 1, max(1, int(report_every)))
+    if idx[-1] != n_steps:
+        idx = np.append(idx, n_steps)
+    return idx
+
+
 def moment_estimate(
     model: SfdeModel,
     config: SchemeConfig,
@@ -220,9 +228,7 @@ def moment_estimate(
     with np.errstate(invalid="ignore", divide="ignore"):
         estimates = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     times = np.arange(n_steps + 1) * delta
-    idx = np.arange(0, n_steps + 1, max(1, int(report_every)))
-    if idx[-1] != n_steps:
-        idx = np.append(idx, n_steps)
+    idx = _report_index(n_steps, report_every)
     finite = estimates[np.isfinite(estimates)]
     running_max = float(finite.max()) if finite.size else float("nan")
     return MomentCurve(
@@ -282,9 +288,7 @@ def stability_decay(
 
     pathwise_rates = np.log(np.maximum(terminal_norms, MOMENT_FLOOR)) / horizon
     sample_mean = sums_state / samples
-    idx = np.arange(0, n_steps + 1, max(1, int(report_every)))
-    if idx[-1] != n_steps:
-        idx = np.append(idx, n_steps)
+    idx = _report_index(n_steps, report_every)
     return StabilityReport(
         times=times[idx],
         log_moment=log_moment[idx],

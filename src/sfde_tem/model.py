@@ -8,7 +8,10 @@ constants (metadata only, never machine-checked).
 Coefficient callables receive any object with the Segment evaluation
 surface (``head``, ``lerp_eval``, ``weighted_integral``); writing them
 with ``...`` indexing (e.g. ``seg.head[..., 0]``) lets the simulation
-engine evaluate whole replica batches in one call.  The builtin
+engine evaluate whole replica batches in one call.  The engine matches
+integral weights and transforms by identity, so the builtins define them
+once at module level, which keeps every integral an O(1) running sum; a
+pair built anew on each call costs a full quadrature per read.  The builtin
 coefficients write cubes as products, ``h * h * h``: numpy evaluates
 ``h**3`` with libm ``pow``, about ten times slower per element.
 """

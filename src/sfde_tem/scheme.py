@@ -12,9 +12,12 @@ elementwise across the batch, so each replica's path is bit-identical no
 matter how replicas are grouped into batches.  The batch history is a
 time-major ring of shape (N+1, B, n), so reading one history node of every
 replica touches one contiguous slot.  Distributed-delay integrals inside
-the coefficients are kept as running trapezoid sums, updated in O(1) per
-step for constant and boxcar weights and recomputed from the ring every N
-steps.  A step costs a fixed handful of whole-batch array operations, so
+the coefficients are kept as running trapezoid sums, one term per
+(weight, transform) pair the coefficients read before the first step:
+constant and boxcar weights slide in O(1) per step and are recomputed from
+their ring every N steps, other weights are recomputed by full quadrature
+after every step, and a pair first read later costs a full quadrature per
+read.  A step costs a fixed handful of whole-batch array operations, so
 the driver keeps per-step overhead down: one finiteness check per step,
 column sums over short trailing axes (``segment._sum_last_axis``), and
 slot indices from the cached ring start.  The builtin coefficients it
@@ -36,11 +39,10 @@ from .segment import (
     NODE_SNAP_REL,
     Segment,
     WeightFunction,
+    _apply_transform,
     _lerp,
-    _per_node,
     _sum_last_axis,
     _trapezoid_sum,
-    _vectorized,
     node_weights,
 )
 
@@ -103,97 +105,73 @@ def _apply_noise(g: np.ndarray, db: np.ndarray) -> np.ndarray:
     return _sum_last_axis(g * db[..., None, :])
 
 
-class _IntegralTerm:
-    """Running trapezoid state for one (weight, transform) pair.
+def _quadrature(window: "_SlidingWindow", samples: np.ndarray, transform) -> np.ndarray:
+    """Full trapezoid of a transform over every replica's window, weights sampled at the nodes."""
+    h = _apply_transform(transform, window.logical_values())
+    return _trapezoid_sum(h * samples[:, None], window.step, axis=0)
 
-    ``ring`` holds the transformed history, (N+1, B) in the window's
-    physical slot order; only fast (constant and boxcar) terms keep it.
-    Fast terms update ``value`` in O(1) per shift and recompute it from the
-    ring every N shifts (``resync``), so rounding carried over from values
-    that have left the window does not pile up.  Whether the transform
-    evaluates whole arrays in one call is decided once, on the first values
-    the term sees.
+
+class _IntegralTerm:
+    """Running trapezoid state for one (weight, transform) pair, built before the first shift.
+
+    Constant and boxcar weights are fast terms: ``ring`` holds their
+    transformed history, (N+1, B) in the window's physical slot order,
+    ``value`` slides in O(1) per shift and is recomputed from the ring
+    every N shifts (``resync``), so rounding carried over from values that
+    have left the window does not pile up.  Other weights keep no ring and
+    recompute ``value`` by full quadrature after every shift.
     """
 
-    __slots__ = ("transform", "samples", "fast", "coeff", "m_slot", "ring", "value", "h_new", "version",
-                 "vectorized")
+    __slots__ = ("weight", "transform", "samples", "coeff", "m_slot", "ring", "value")
 
     def __init__(self, weight: WeightFunction, transform, window: "_SlidingWindow"):
+        # the window finds terms by the ids of this pair: holding both keeps
+        # a later object from taking either id while the term is registered
+        self.weight = weight
         self.transform = transform
         self.samples = node_weights(weight, window.tau, window.n_steps)
-        self.fast = False
-        self.m_slot = 0
+        self.coeff = weight.plateau * window.step * 0.5
+        self.m_slot = None
         n = window.n_steps
         if weight.kind == "constant":
-            self.fast = True
+            self.m_slot = 0
         elif weight.kind == "boxcar" and weight.declared_support is not None:
             lo, hi = weight.declared_support
             m = round(lo / window.step) + n
             on_node = abs(lo - (m - n) * window.step) <= NODE_SNAP_REL * max(1.0, window.tau)
             if hi == 0.0 and on_node and 1 <= m <= n - 1:
-                self.fast = True
                 self.m_slot = int(m)
-        self.coeff = weight.plateau * window.step * 0.5
-        values = window.initial if window.version == 0 else window.logical_values()
-        h = _vectorized(transform, values)
-        self.vectorized = h is not None
-        if h is None:
-            h = _per_node(transform, values)
-        if window.version == 0:
-            # every replica still holds the initial nodes: one value serves them all
-            self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
-            h = h[:, None]
-        else:
-            self.value = _trapezoid_sum(h * self.samples[:, None], window.step, axis=0)
-        if self.fast:
+        # every replica still holds the initial nodes: one value serves them all
+        h = _apply_transform(transform, window.initial)
+        self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
+        self.ring = None
+        if self.m_slot is not None:
             self.ring = np.empty((n + 1, window.batch))
-            self.ring[window.phys(np.arange(n + 1))] = h
-        else:
-            self.ring = None
-        self.h_new = None
-        self.version = window.version
+            self.ring[:] = h[:, None]
 
-    def _h(self, values: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            out = np.asarray(self.transform(values))
-            if out.shape == values.shape[:-1]:
-                return out
-        return _per_node(self.transform, values)
-
-    def current(self, window: "_SlidingWindow"):
-        if not self.fast and self.version != window.version:
-            h = self._h(window.logical_values())
-            self.value = _trapezoid_sum(h * self.samples[:, None], window.step, axis=0)
-            self.version = window.version
-        return self.value
-
-    def pre_shift(self, new_states: np.ndarray, start: int):
-        """Slide ``value`` by one node; the oldest node sits in slot ``start``."""
-        if not self.fast:
-            return
+    def shift(self, window: "_SlidingWindow", slot: int, resync: bool):
+        """Take in the head the window has just written over ``slot``, its oldest node until then."""
         ring = self.ring
+        if ring is None:
+            self.value = _quadrature(window, self.samples, self.transform)
+            return
         slots = ring.shape[0]
-        h_new = self._h(new_states)
-        h_head = ring[start - 1]
-        h_m = ring[(start + self.m_slot) % slots]
-        h_m1 = ring[(start + self.m_slot + 1) % slots]
+        h_new = _apply_transform(self.transform, window.head)
+        h_head = ring[slot - 1]
+        h_m = ring[(slot + self.m_slot) % slots]
+        h_m1 = ring[(slot + self.m_slot + 1) % slots]
         self.value = self.value + self.coeff * (h_new + h_head - h_m1 - h_m)
-        self.h_new = h_new
-
-    def post_shift(self, slot: int):
-        if self.fast:
-            self.ring[slot] = self.h_new
-            self.h_new = None
+        ring[slot] = h_new
+        if resync:
+            self.resync((slot + 1) % slots, window.step)
 
     def resync(self, start: int, step: float):
-        """Recompute a fast term's value from its ring; the oldest node sits in slot ``start``.
+        """Recompute ``value`` from the ring; the oldest node sits in slot ``start``.
 
         The trapezoid of ``_trapezoid_sum``, nodes added one after another
         in window order, one ring row at a time: the same arithmetic for
         every replica at any batch size, and no copy of the ring.
         """
-        if not self.fast:
-            return
         ring, w = self.ring, self.samples
         slots = ring.shape[0]
         m = self.m_slot
@@ -209,40 +187,31 @@ class _SlidingWindow:
     ``buf`` is time-major, shape (N+1, B, n): logical node j (0 = oldest,
     N = head) of every replica lives in the contiguous slot
     (start + j) mod (N+1).  Shifting writes the new head over the oldest
-    slot and advances ``start``; registered integral terms are updated in
-    the same move.  ``head`` is the (B, n) view of the newest slot.
-    ``initial`` is the (N+1, n) initial data every replica starts from.
+    slot, advances ``start`` and then updates every registered integral
+    term.  ``head`` is the (B, n) view of the newest slot.  ``initial`` is
+    the (N+1, n) initial data every replica starts from.
+
+    Integral terms are registered by the identity of their (weight,
+    transform) pair on a read before the first shift.  A pair first read
+    after that is evaluated by one full quadrature per read and is not
+    registered, so the registry cannot grow during a run.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float):
         self.initial = initial
-        self._buf = np.empty((initial.shape[0], batch, initial.shape[1]))
-        self._buf[:] = initial[:, None, :]
+        self.n_steps = initial.shape[0] - 1
+        self.batch = batch
         self.tau = tau
-        self._slots = initial.shape[0]
+        self.step = tau / self.n_steps
+        self._buf = np.empty((self.n_steps + 1, batch, initial.shape[1]))
+        self._buf[:] = initial[:, None, :]
         self._start = 0
         self.head = self._buf[-1]
-        self.version = 0
+        self.shifts = 0
         self._terms = {}
 
-    @property
-    def n_steps(self) -> int:
-        return self._buf.shape[0] - 1
-
-    @property
-    def batch(self) -> int:
-        return self._buf.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self._buf.shape[-1]
-
-    @property
-    def step(self) -> float:
-        return self.tau / self.n_steps
-
     def phys(self, j):
-        return (self._start + j) % self._slots
+        return (self._start + j) % (self.n_steps + 1)
 
     def logical_values(self) -> np.ndarray:
         return self._buf[self.phys(np.arange(self.n_steps + 1))]
@@ -253,25 +222,22 @@ class _SlidingWindow:
     def weighted_integral(self, weight: WeightFunction, transform):
         key = (id(weight), id(transform))
         term = self._terms.get(key)
-        if term is None:
-            term = _IntegralTerm(weight, transform, self)
-            self._terms[key] = term
-        return term.current(self)
+        if term is not None:
+            return term.value
+        if self.shifts:
+            return _quadrature(self, node_weights(weight, self.tau, self.n_steps), transform)
+        term = self._terms[key] = _IntegralTerm(weight, transform, self)
+        return term.value
 
     def shift(self, new_states: np.ndarray) -> None:
         slot = self._start
-        terms = self._terms.values()
-        for term in terms:
-            term.pre_shift(new_states, slot)
         self._buf[slot] = new_states
         self.head = self._buf[slot]
-        self._start = (slot + 1) % self._slots
-        self.version += 1
-        for term in terms:
-            term.post_shift(slot)
-        if self.version % (self._slots - 1) == 0:
-            for term in terms:
-                term.resync(self._start, self.step)
+        self._start = (slot + 1) % (self.n_steps + 1)
+        self.shifts += 1
+        resync = self.shifts % self.n_steps == 0
+        for term in self._terms.values():
+            term.shift(self, slot, resync)
 
 
 def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:

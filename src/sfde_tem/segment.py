@@ -8,18 +8,20 @@ piecewise linear.  Integral terms of the form
     int_{-tau}^{0} h(phi(theta)) rho(theta) dtheta
 
 are approximated by the composite trapezoid rule on the same grid, with
-the weight rho sampled at the nodes.
+the weight rho sampled at the nodes.  The transform h maps a node vector
+to a scalar; ``_apply_transform`` is the one rule, shared with the batch
+driver, that decides on every call whether it evaluates a whole array of
+nodes at once or one node at a time.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 
 # Relative tolerance used to decide that a query time sits exactly on a node.
 NODE_SNAP_REL = 1e-9
@@ -55,31 +57,34 @@ def _sum_last_axis(a: np.ndarray) -> np.ndarray:
 
 
 def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
-    """Apply a vector->scalar transform across the node axis.
+    """Apply a vector->scalar transform across the node axis of ``values`` (..., n).
 
-    ``values`` has shape (..., n); vectorized transforms (written with
-    ``...`` indexing, e.g. ``lambda v: v[..., 0] ** 2``) are evaluated in
-    one call, anything else falls back to a per-node loop.
+    The transform is first called once on the whole array, and a result of
+    shape ``values.shape[:-1]`` is returned as it is.  If that call raises
+    ``TypeError`` or ``ValueError``, or gives any other shape, the transform
+    is called on one (n,) node at a time and each call must give one float.
+    Scalar-only transforms (``float(v[0])``, ``max(v[0], 0.0)``) take that
+    path: on an array they raise one of the two, or on a single-replica
+    window they can return a wrong-shaped result.  Any other exception
+    propagates.  The decision is made on every call.
     """
-    out = _vectorized(transform, values)
-    return _per_node(transform, values) if out is None else out
-
-
-def _vectorized(transform, values: np.ndarray) -> Optional[np.ndarray]:
-    """transform(values) when it evaluates in one call to shape values.shape[:-1], else None."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = np.asarray(transform(values))
-    except Exception:
-        return None
-    return out if out.shape == values.shape[:-1] else None
-
-
-def _per_node(transform, values: np.ndarray) -> np.ndarray:
-    """transform applied to one (n,) node vector at a time."""
+        out = np.asarray(transform(values))
+        if out.shape == values.shape[:-1]:
+            return out
+    except (TypeError, ValueError):
+        pass
     flat = values.reshape(-1, values.shape[-1])
-    out = np.array([float(transform(v)) for v in flat])
+    out = np.empty(len(flat))
+    for i, node in enumerate(flat):
+        h = transform(node)
+        if np.shape(h) != ():
+            raise ConfigurationError(
+                f"transform {transform!r} must map values of shape {values.shape} to shape "
+                f"{values.shape[:-1]}, or one node of shape {node.shape} to a float; "
+                f"a node gave shape {np.shape(h)}"
+            )
+        out[i] = h
     return out.reshape(values.shape[:-1])
 
 
@@ -87,17 +92,16 @@ def _per_node(transform, values: np.ndarray) -> np.ndarray:
 class WeightFunction:
     """Nonnegative weight rho on [-tau, 0], sampled at grid nodes.
 
-    ``kind``/``plateau``/``lo`` describe recognized structure (constant or
-    boxcar plateaus) that the simulation engine exploits for O(1) sliding
-    updates; custom weights leave them unset and fall back to a full
-    trapezoid pass per step.
+    ``kind``/``plateau`` (with ``declared_support`` for a boxcar) describe
+    recognized structure that the simulation engine exploits for O(1)
+    sliding updates; custom weights leave them unset and fall back to a
+    full trapezoid pass per step.
     """
 
     eval: Callable[[float], float]
     declared_support: Optional[Tuple[float, float]] = None
     kind: Optional[str] = None  # "constant" | "boxcar" | None
     plateau: float = 0.0
-    lo: float = 0.0
 
     def __call__(self, theta: float) -> float:
         return self.eval(theta)
@@ -146,7 +150,6 @@ def boxcar_weight(lo: float, hi: float = 0.0, value: float = 1.0) -> WeightFunct
         declared_support=(lo, hi),
         kind="boxcar",
         plateau=float(value),
-        lo=float(lo),
     )
 
 
@@ -173,7 +176,6 @@ def normalize(weight: WeightFunction, tau: float, n_steps: int) -> WeightFunctio
         declared_support=weight.declared_support,
         kind=weight.kind,
         plateau=weight.plateau / mass,
-        lo=weight.lo,
     )
 
 
@@ -266,7 +268,9 @@ def shift_append(seg: Segment, new_head) -> Segment:
 
 def weighted_integral(seg: Segment, weight: WeightFunction, transform) -> float:
     """Trapezoid approximation of int h(phi(theta)) rho(theta) dtheta on the grid."""
-    h = _apply_transform(transform, seg.values)
+    # a non-finite node is reported below, so numpy's warnings would only repeat it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = _apply_transform(transform, seg.values)
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h)))
         raise NumericalError("non-finite transform output in weighted integral", node_index=bad, value=h[bad])

@@ -172,14 +172,6 @@ class TestMainExitCodes:
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
 
-    def test_bad_thread_env_exit_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SFDE_TEM_THREADS", "many")
-        code = main(
-            ["simulate", "--model", "gbm", "--a", "0", "--b", "0", "--steps", "5",
-             "--horizon", "1", "--output", str(tmp_path / "t.csv")]
-        )
-        assert code == 2
-
     def test_bad_nu_constants_exit_two(self, capsys):
         assert main(["nu", "--b1", "1", "--b2", "2", "--b3", "2", "--b4", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err

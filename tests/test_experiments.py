@@ -1,9 +1,12 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfde_tem
 from sfde_tem import experiments
 from sfde_tem.brownian import coarsen, sample_increments
 from sfde_tem.errors import ConfigurationError, DegenerateFitError
@@ -311,3 +314,15 @@ class TestPhiDiagnostic:
         seg = constant_segment([1.0], 0.5, 4)
         with pytest.raises(ValueError):
             phi_diagnostic(seg, 1.0)
+
+
+class TestBenchmarkContract:
+    def test_tracer_patch_points_resolve(self):
+        # perfbench/tracing.py skips a patch point it cannot find and reports
+        # its metrics as absent, so a rename here would drop them silently
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, attr in tracing._PATCHES:
+            assert callable(getattr(getattr(sfde_tem, module_name), attr, None)), (module_name, attr)

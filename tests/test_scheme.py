@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def _square(v):
 
 def _first(v):
     return v[..., 0]
+
+
+# transforms written for one (n,) node, each with its vectorized equivalent
+_SCALAR_ONLY = [
+    (lambda v: float(v[0]), lambda v: v[..., 0]),
+    (lambda v: math.sqrt(v[0] ** 2), lambda v: np.sqrt(v[..., 0] ** 2)),
+    (lambda v: max(v[0], 0.0), lambda v: np.maximum(v[..., 0], 0.0)),
+    (lambda v: v[0] if v[0] > 0 else 0.0, lambda v: np.where(v[..., 0] > 0, v[..., 0], 0.0)),
+]
 
 
 def _ramp_diffusion(seg):
@@ -269,6 +279,24 @@ class TestBatchConsistency:
         if model_factory is builtin_example1:
             assert res.truncation_hits.sum() > 0
 
+    @pytest.mark.parametrize("weight", [constant_weight(1.0), _RAMP], ids=["constant", "ramp_weight"])
+    @pytest.mark.parametrize("scalar_only, vectorized", _SCALAR_ONLY, ids=["float", "sqrt", "max", "conditional"])
+    def test_scalar_only_transform_matches_vectorized(self, weight, scalar_only, vectorized):
+        # N = 8, 24 steps: the running sums resync, and the path changes sign
+        def model_with(transform):
+            def diffusion(seg):
+                return 0.5 * np.asarray(seg.weighted_integral(weight, transform))[..., None, None]
+
+            return dataclasses.replace(builtin_example1(), diffusion=diffusion)
+
+        step, n_steps = 2.0**-4, 24
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(6, r, 1, step, n_steps) for r in range(3)])
+        got = _run_batch(model_with(scalar_only), cfg, inc)
+        want = _run_batch(model_with(vectorized), cfg, inc)
+        assert np.array_equal(got.terminal, want.terminal)
+        assert np.array_equal(got.truncation_hits, want.truncation_hits)
+
     def test_batch_composition_irrelevant(self):
         m = builtin_example2()
         cfg = SchemeConfig(step=2.0**-4, horizon=1.0)
@@ -338,6 +366,52 @@ class TestRunningIntegralAccuracy:
                 new, pre = tem_step(m, seg, inc[r, k], radius)
                 seg = seg.shift_append(new if variant == TRUNCATED_EM else pre)
             assert np.allclose(res.terminal[r], seg.head, atol=1e-10)
+
+
+class TestIntegralTermRegistry:
+    def test_transform_built_per_call_keeps_memory_flat(self):
+        # example1 with its diffusion's transform written inline, a new object
+        # per call: only the pair read before the first shift may be kept, so
+        # 640 steps must not hold 640 rings of B values
+        def inline_diffusion(seg):
+            integral = seg.weighted_integral(model_module._EX1_LEBESGUE, lambda v: v[..., 0] ** 2)
+            return 2.0 * np.asarray(integral)[..., None, None]
+
+        base = builtin_example1()
+        inline = dataclasses.replace(base, diffusion=inline_diffusion)
+        step, n_steps, count = 2.0**-7, 640, 200
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(4, r, 1, step, n_steps) for r in range(count)])
+        tracemalloc.start()
+        try:
+            terminal = _run_batch(inline, cfg, inc).terminal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.allclose(terminal, _run_batch(base, cfg, inc).terminal, rtol=0.0, atol=1e-12)
+
+
+    def test_weights_built_per_call_keep_their_own_integrals(self):
+        # two weights built inline: each is freed after its read, and the next
+        # object built may take its id, so a registry keyed by ids must keep
+        # its keys alive or hand one weight the other's integral
+        def diffusion(seg):
+            flat = seg.weighted_integral(constant_weight(1.0), _square)
+            box = seg.weighted_integral(boxcar_weight(-0.25, 0.0, 3.0), _square)
+            return 0.5 * np.asarray(flat + box)[..., None, None]
+
+        m = dataclasses.replace(builtin_example1(), diffusion=diffusion)
+        step, n_steps = 2.0**-4, 24
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(0, r, 1, step, n_steps) for r in range(2)])
+        terminal = _run_batch(m, cfg, inc).terminal
+        radius = truncation_radius(m.gamma, step)
+        for r in range(2):
+            seg = init_segment(m, cfg)
+            for k in range(n_steps):
+                seg = seg.shift_append(tem_step(m, seg, inc[r, k], radius)[0])
+            assert np.allclose(terminal[r], seg.head, atol=1e-10)
 
 
 class TestContinuousExtension:
@@ -437,6 +511,18 @@ class TestDriverErrors:
         assert context["step"] == 4
         assert math.isfinite(context["head_norm"])
         assert context["radius"] == truncation_radius(m.gamma, 2.0**-4)
+
+    def test_wrong_shape_transform_names_it(self):
+        def first_column(v):
+            return v[..., 0:1]
+
+        def diffusion(seg):
+            return np.asarray(seg.weighted_integral(constant_weight(1.0), first_column))[..., None, None]
+
+        m = dataclasses.replace(builtin_example1(), diffusion=diffusion)
+        inc = np.stack([sample_increments(0, r, 1, 2.0**-3, 8) for r in range(2)])
+        with pytest.raises(ConfigurationError, match="first_column"):
+            _run_batch(m, SchemeConfig(step=2.0**-3, horizon=1.0), inc)
 
     @pytest.mark.parametrize(
         "initial_data",

@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sfde_tem.errors import NumericalError
+from sfde_tem.errors import ConfigurationError, NumericalError
 from sfde_tem.segment import (
     Segment,
     _sum_last_axis,
@@ -18,6 +21,27 @@ from sfde_tem.segment import (
 
 IDENTITY = lambda v: v[..., 0]
 SQ_NORM = lambda v: np.sum(v * v, axis=-1)
+
+# transforms written for one (n,) node, each with its vectorized equivalent:
+# on an array they raise TypeError or ValueError or return a wrong shape
+SCALAR_ONLY = [
+    (lambda v: float(v[0]), lambda v: v[..., 0]),
+    (lambda v: math.sqrt(v[0] ** 2), lambda v: np.sqrt(v[..., 0] ** 2)),
+    (lambda v: max(v[0], 0.0), lambda v: np.maximum(v[..., 0], 0.0)),
+    (lambda v: v[0] if v[0] > 0 else 0.0, lambda v: np.where(v[..., 0] > 0, v[..., 0], 0.0)),
+]
+SCALAR_ONLY_IDS = ["float", "sqrt", "max", "conditional"]
+
+
+def first_column(v):
+    """Keeps the node axis: shape (..., 1) where (...) is asked for."""
+    return v[..., 0:1]
+
+
+def keyed_on_arrays(v):
+    if v.ndim > 1:
+        raise KeyError("batch")
+    return v[0]
 
 
 def scalar_segment(values, tau):
@@ -137,13 +161,26 @@ class TestWeightedIntegral:
     def test_nonfinite_transform_reports_node(self):
         seg = scalar_segment([1.0, 0.0, 2.0], tau=1.0)
         bad = lambda v: 1.0 / v[..., 0]
-        with pytest.raises(NumericalError):
-            weighted_integral(seg, constant_weight(1.0), bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the NumericalError is the report, not a RuntimeWarning
+            with pytest.raises(NumericalError):
+                weighted_integral(seg, constant_weight(1.0), bad)
 
-    def test_per_node_fallback_for_scalar_transforms(self):
+    @pytest.mark.parametrize("scalar_only, vectorized", SCALAR_ONLY, ids=SCALAR_ONLY_IDS)
+    def test_per_node_fallback_for_scalar_transforms(self, scalar_only, vectorized):
+        seg = scalar_segment([-1.0, 0.0, 1.0, 2.0], tau=1.0)
+        w = constant_weight(1.0)
+        assert weighted_integral(seg, w, scalar_only) == weighted_integral(seg, w, vectorized)
+
+    @pytest.mark.parametrize(
+        "transform, error, match",
+        [(first_column, ConfigurationError, "first_column"), (keyed_on_arrays, KeyError, "batch")],
+        ids=["wrong_shape", "key_error"],
+    )
+    def test_misbehaving_transform_raises(self, transform, error, match):
         seg = scalar_segment([0.0, 1.0, 2.0], tau=1.0)
-        scalar_only = lambda v: float(v[0])  # not vectorized over nodes
-        assert weighted_integral(seg, constant_weight(1.0), scalar_only) == pytest.approx(1.0)
+        with pytest.raises(error, match=match):
+            weighted_integral(seg, constant_weight(1.0), transform)
 
 
 class TestNormalize:
