@@ -354,12 +354,15 @@ def _run_batch(
                     div_step[newly_dead] = k + 1
                 new = np.where(alive[..., None], pre, head)
                 alive = alive & finite
-            window.shift(new)
+            if k + 1 < n_steps:
+                # nothing reads the history after the last step: its integral
+                # terms are neither updated nor evaluated on the final state
+                window.shift(new)
             if per_step is not None:
                 per_step(k + 1, new, pre, alive)
 
     return BatchResult(
-        terminal=window.head.copy(),
+        terminal=np.array(new),
         truncation_hits=hits,
         diverged=~alive,
         divergence_step=div_step,

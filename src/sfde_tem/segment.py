@@ -59,20 +59,23 @@ def _sum_last_axis(a: np.ndarray) -> np.ndarray:
 def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
     """Apply a vector->scalar transform across the node axis of ``values`` (..., n).
 
-    The transform is first called once on the whole array, and a result of
-    shape ``values.shape[:-1]`` is returned as it is.  If that call raises
-    ``TypeError`` or ``ValueError``, or gives any other shape, the transform
-    is called on one (n,) node at a time and each call must give one float.
-    Scalar-only transforms (``float(v[0])``, ``max(v[0], 0.0)``) take that
-    path: on an array they raise one of the two, or on a single-replica
-    window they can return a wrong-shaped result.  Any other exception
+    The transform is first called once on the whole array with one more
+    leading axis of length 1, ``values[None]``, and a result of shape
+    ``(1,) + values.shape[:-1]`` is used as it is.  A transform written
+    with ``...`` indexing keeps that axis; a scalar-only transform written
+    for one (n,) node (``float(v[0])``, ``v[0] * v[1]``) indexes it away
+    or past its end, so the shape of ``values`` can never make it look
+    vectorized.  If the call raises ``TypeError``, ``ValueError`` or
+    ``IndexError`` (or ``DeprecationWarning`` under warnings-as-errors), or
+    gives any other shape, the transform is called on one (n,) node at a
+    time and each call must give one float.  Any other exception
     propagates.  The decision is made on every call.
     """
     try:
-        out = np.asarray(transform(values))
-        if out.shape == values.shape[:-1]:
-            return out
-    except (TypeError, ValueError):
+        out = np.asarray(transform(values[None]))
+        if out.shape == (1,) + values.shape[:-1]:
+            return out[0]
+    except (TypeError, ValueError, IndexError, DeprecationWarning):
         pass
     flat = values.reshape(-1, values.shape[-1])
     out = np.empty(len(flat))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from sfde_tem.segment import (
     constant_weight,
     lerp_eval,
 )
+from test_segment import SCALAR_ONLY, SCALAR_ONLY_IDS
 
 # 1 + theta on [-1/2, 0]: a weight with no recognised structure, so the
 # engine recomputes its integral by full quadrature after every shift
@@ -50,13 +52,12 @@ def _first(v):
     return v[..., 0]
 
 
-# transforms written for one (n,) node, each with its vectorized equivalent
-_SCALAR_ONLY = [
-    (lambda v: float(v[0]), lambda v: v[..., 0]),
-    (lambda v: math.sqrt(v[0] ** 2), lambda v: np.sqrt(v[..., 0] ** 2)),
-    (lambda v: max(v[0], 0.0), lambda v: np.maximum(v[..., 0], 0.0)),
-    (lambda v: v[0] if v[0] > 0 else 0.0, lambda v: np.where(v[..., 0] > 0, v[..., 0], 0.0)),
-]
+def _node_product(v):
+    """Written for one (2,) node; on a (2, 2) array it multiplies rows."""
+    return v[0] * v[1]
+
+
+_FLAT = constant_weight(1.0)
 
 
 def _ramp_diffusion(seg):
@@ -279,10 +280,12 @@ class TestBatchConsistency:
         if model_factory is builtin_example1:
             assert res.truncation_hits.sum() > 0
 
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("weight", [constant_weight(1.0), _RAMP], ids=["constant", "ramp_weight"])
-    @pytest.mark.parametrize("scalar_only, vectorized", _SCALAR_ONLY, ids=["float", "sqrt", "max", "conditional"])
-    def test_scalar_only_transform_matches_vectorized(self, weight, scalar_only, vectorized):
-        # N = 8, 24 steps: the running sums resync, and the path changes sign
+    @pytest.mark.parametrize("scalar_only, vectorized", SCALAR_ONLY, ids=SCALAR_ONLY_IDS)
+    def test_scalar_only_transform_matches_vectorized(self, weight, scalar_only, vectorized, batch):
+        # N = 8, 24 steps: the running sums resync, and the path changes sign.
+        # Warnings are errors: a (1, 1) head must still fall back node by node
         def model_with(transform):
             def diffusion(seg):
                 return 0.5 * np.asarray(seg.weighted_integral(weight, transform))[..., None, None]
@@ -291,11 +294,33 @@ class TestBatchConsistency:
 
         step, n_steps = 2.0**-4, 24
         cfg = SchemeConfig(step=step, horizon=n_steps * step)
-        inc = np.stack([sample_increments(6, r, 1, step, n_steps) for r in range(3)])
-        got = _run_batch(model_with(scalar_only), cfg, inc)
+        inc = np.stack([sample_increments(6, r, 1, step, n_steps) for r in range(batch)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _run_batch(model_with(scalar_only), cfg, inc)
         want = _run_batch(model_with(vectorized), cfg, inc)
         assert np.array_equal(got.terminal, want.terminal)
         assert np.array_equal(got.truncation_hits, want.truncation_hits)
+
+    def test_node_product_transform_matches_segment_replay(self):
+        # a 2-d state read through v[0] * v[1], a transform for one node: on
+        # a (B, 2) head with B <= 2 it would index replicas, not coordinates
+        def drift(seg):
+            return model_module._ex2_drift(seg) + 0.5 * np.asarray(seg.weighted_integral(_FLAT, _node_product))[..., None]
+
+        m = dataclasses.replace(builtin_example2(), drift=drift)
+        step, n_steps = 2.0**-4, 20
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(5, r, 2, step, n_steps) for r in range(2)])
+        radius = truncation_radius(m.gamma, step)
+        replays = []
+        for r in range(2):
+            seg = init_segment(m, cfg)
+            for k in range(n_steps):
+                seg = seg.shift_append(tem_step(m, seg, inc[r, k], radius)[0])
+            replays.append(seg.head)
+        assert np.allclose(simulate(m, cfg, inc[0]).states[-1], replays[0], rtol=0.0, atol=1e-10)
+        assert np.allclose(_run_batch(m, cfg, inc).terminal, np.stack(replays), rtol=0.0, atol=1e-10)
 
     def test_batch_composition_irrelevant(self):
         m = builtin_example2()
@@ -366,6 +391,25 @@ class TestRunningIntegralAccuracy:
                 new, pre = tem_step(m, seg, inc[r, k], radius)
                 seg = seg.shift_append(new if variant == TRUNCATED_EM else pre)
             assert np.allclose(res.terminal[r], seg.head, atol=1e-10)
+
+
+class TestLastStep:
+    @pytest.mark.parametrize("weight", [constant_weight(1.0), _RAMP], ids=["constant", "ramp_weight"])
+    def test_history_integrals_not_evaluated_on_final_state(self, weight):
+        # x(t) = 1 - t on a grid of 1/8 reaches 0 exactly at the last step, where
+        # a log transform would fail; nothing reads the history after that step
+        def drift(seg):
+            return (-1.0 + 0.0 * np.asarray(seg.weighted_integral(weight, lambda v: math.log(v[0]))))[..., None]
+
+        def diffusion(seg):
+            return np.zeros(seg.head.shape + (1,))
+
+        m = dataclasses.replace(
+            builtin_example1(), drift=drift, diffusion=diffusion, initial_data=lambda theta: np.array([1.0])
+        )
+        step, n_steps = 2.0**-3, 8
+        res = _run_batch(m, SchemeConfig(step=step, horizon=n_steps * step), np.zeros((2, n_steps, 1)))
+        assert np.array_equal(res.terminal, np.zeros((2, 1)))
 
 
 class TestIntegralTermRegistry:

@@ -22,8 +22,8 @@ from sfde_tem.segment import (
 IDENTITY = lambda v: v[..., 0]
 SQ_NORM = lambda v: np.sum(v * v, axis=-1)
 
-# transforms written for one (n,) node, each with its vectorized equivalent:
-# on an array they raise TypeError or ValueError or return a wrong shape
+# transforms written for one (n,) node, each with its vectorized equivalent;
+# tests/test_scheme.py runs them through the batch driver too
 SCALAR_ONLY = [
     (lambda v: float(v[0]), lambda v: v[..., 0]),
     (lambda v: math.sqrt(v[0] ** 2), lambda v: np.sqrt(v[..., 0] ** 2)),
@@ -171,6 +171,14 @@ class TestWeightedIntegral:
         seg = scalar_segment([-1.0, 0.0, 1.0, 2.0], tau=1.0)
         w = constant_weight(1.0)
         assert weighted_integral(seg, w, scalar_only) == weighted_integral(seg, w, vectorized)
+
+    def test_node_product_on_as_many_nodes_as_coordinates(self):
+        # two nodes of two coordinates: v[0] * v[1] on the (2, 2) array has the
+        # (2,) shape of a vectorized result, but multiplies node 0 by node 1
+        seg = Segment(np.array([[1.0, 2.0], [3.0, 5.0]]), tau=1.0)
+        w = constant_weight(1.0)
+        got = weighted_integral(seg, w, lambda v: v[0] * v[1])
+        assert got == weighted_integral(seg, w, lambda v: v[..., 0] * v[..., 1]) == 8.5
 
     @pytest.mark.parametrize(
         "transform, error, match",
