@@ -8,8 +8,12 @@ by a*b equals coarsening by a then by b exactly (no floating-point
 reassociation) whenever the factors are powers of two.
 
 ``IncrementStream`` hands a batch of replicas' increments to the driver
-time-major, one reused block of ``STREAM_BLOCK`` steps at a time, with the
-same draws as ``sample_increments``.
+time-major, one reused block of at most ``STREAM_BYTES`` at a time, with
+the same draws as ``sample_increments``: a replica's generator gives the
+same normals however its draws are split into blocks.  A
+``_CoarseningStream`` (blocks of at most ``SWEEP_BYTES``) also hands each
+used block, summed in place level by level, to coarser consumers of the
+same paths, so a strong-error sweep holds one block and no whole path.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 RATIO_REL_TOL = 1e-9
-STREAM_BLOCK = 64
+STREAM_BYTES = 2**20
+SWEEP_BYTES = 2**22
 
 
 def ratio_as_int(numerator: float, denominator: float, what: str = "ratio") -> int:
@@ -66,8 +71,12 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     )
 
 
+def _bit_generator(seed: int, replica: int) -> np.random.Philox:
+    return np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+
+
 def _generator(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+    return np.random.Generator(_bit_generator(seed, replica))
 
 
 def sample_increments(seed: int, replica: int, dim_noise: int, step: float, count: int) -> np.ndarray:
@@ -78,13 +87,15 @@ def sample_increments(seed: int, replica: int, dim_noise: int, step: float, coun
 class IncrementStream:
     """Increments of replicas first..first+count-1, drawn time-major in blocks.
 
-    Iterating yields ``n_steps`` rows of shape (count, dim_noise); row k,
-    column i equals ``sample_increments(seed, first + i, dim_noise, step,
-    n_steps)[k]`` bit for bit.  Rows are views of one reused (block, count,
-    dim_noise) buffer, valid until the next row is requested, where block is
-    ``STREAM_BLOCK`` steps (fewer for shorter runs).  ``shape`` is (count,
-    n_steps, dim_noise) and ``nbytes`` the buffer's size.  Each iteration
-    restarts the replicas' streams.
+    ``blocks()`` yields ``n_steps`` rows of shape (count, dim_noise) as
+    (block, count, dim_noise) views of one reused buffer (the last block
+    may be shorter), each valid until the next is requested; row k, column
+    i equals ``sample_increments(seed, first + i, dim_noise, step,
+    n_steps)[k]`` bit for bit.  ``block`` is the most steps whose rows fit
+    in ``STREAM_BYTES`` (at least one, at most ``n_steps``), read when the
+    stream is built.  ``shape`` is (count, n_steps, dim_noise) and
+    ``nbytes`` the buffer's size.  Each call of ``blocks()`` restarts the
+    replicas' streams.
     """
 
     def __init__(self, seed: int, first: int, count: int, dim_noise: int, step: float, n_steps: int):
@@ -92,22 +103,84 @@ class IncrementStream:
         self.first = first
         self.step = step
         self.shape = (count, n_steps, dim_noise)
-        self._buf = np.empty((max(1, min(STREAM_BLOCK, n_steps)), count, dim_noise))
+        self.block = self._block_steps()
+
+    def _block_steps(self) -> int:
+        count, n_steps, dim = self.shape
+        return max(1, min(n_steps, STREAM_BYTES // (8 * count * dim)))
 
     @property
     def nbytes(self) -> int:
-        return self._buf.nbytes
+        count, _, dim = self.shape
+        return 8 * self.block * count * dim
 
-    def __iter__(self):
+    def blocks(self):
         count, n_steps, dim = self.shape
-        gens = [_generator(self.seed, self.first + i) for i in range(count)]
+        # the state lives in the bit generator: wrapping it anew for each block
+        # is cheap, and holding a Generator per replica would add 224 bytes each
+        bits = [_bit_generator(self.seed, self.first + i) for i in range(count)]
         scale = np.sqrt(self.step)
-        for start in range(0, n_steps, len(self._buf)):
-            block = self._buf[: min(len(self._buf), n_steps - start)]
-            for i, gen in enumerate(gens):
-                block[:, i] = gen.standard_normal((len(block), dim))
+        buf = np.empty((self.block, count, dim))
+        for start in range(0, n_steps, self.block):
+            block = buf[: min(self.block, n_steps - start)]
+            for i, bit in enumerate(bits):
+                block[:, i] = np.random.Generator(bit).standard_normal((len(block), dim))
             block *= scale
-            yield from block
+            yield block
+
+
+class _CoarseningStream(IncrementStream):
+    """An ``IncrementStream`` whose blocks, once used, drive coarser levels of the same paths.
+
+    ``levels`` pairs each power-of-two factor, ascending, with a callable
+    taking that level's (rows, count, dim_noise) increments.  A block is
+    the largest factor F times the largest power of two that divides
+    n_steps / F and keeps the block within ``SWEEP_BYTES`` (at least F
+    steps; read when the stream is built), so it holds whole steps of every
+    level.  ``blocks()`` yields each block; once the consumer asks for the
+    next one, the block it has used is summed in place, each level from the
+    one before, and handed to that level's callable.  Aligned blocks sum the same pairwise tree as a
+    whole path, so every level is bit-identical to ``coarsen`` of the fine
+    path.  ``totals[b]`` is block b's tree sum, one node of the tree
+    ``total_increment`` sums over the whole path.
+    """
+
+    def __init__(self, seed, first, count, dim_noise, step, n_steps, levels):
+        self.levels = levels
+        super().__init__(seed, first, count, dim_noise, step, n_steps)
+        self.totals = np.empty((n_steps // self.block, count, dim_noise))
+
+    def blocks(self):
+        for b, rows in enumerate(super().blocks()):
+            yield rows
+            done = 1
+            for factor, advance in self.levels:
+                rows = _coarsen_in_place(rows, factor // done)
+                done = factor
+                advance(rows)
+            self.totals[b] = _block_sums(rows, len(rows), axis=0)[0]
+
+    def _block_steps(self) -> int:
+        count, n_steps, dim = self.shape
+        block = self.levels[-1][0]
+        while n_steps % (2 * block) == 0 and 8 * 2 * block * count * dim <= SWEEP_BYTES:
+            block *= 2
+        return block
+
+
+def _coarsen_in_place(rows: np.ndarray, factor: int) -> np.ndarray:
+    """``_block_sums`` of ``rows`` by ``factor`` along axis 0, written over its first rows.
+
+    A slab of about 2^16 input floats at a time, so the tree allocates only
+    a slab's worth of temporaries; each slab's sums overwrite rows no later
+    slab reads.
+    """
+    n = len(rows) // factor
+    slab = max(1, 2**16 // (factor * rows[0].size))
+    for lo in range(0, n, slab):
+        hi = min(lo + slab, n)
+        rows[lo:hi] = _block_sums(rows[lo * factor : hi * factor], factor, axis=0)
+    return rows[:n]
 
 
 def coarsen(grid, factor: int) -> np.ndarray:

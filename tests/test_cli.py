@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sfde_tem import experiments
 from sfde_tem.cli import main, parse_config, run
 from sfde_tem.errors import ConfigurationError
 
@@ -185,15 +186,17 @@ class TestMainExitCodes:
 
 
 class TestByteReproducibility:
-    def test_thread_counts_identical_csv(self, tmp_path, monkeypatch):
+    def test_batching_identical_csv(self, tmp_path, monkeypatch):
+        # the reference level has N = 16 history steps: 17 ring entries per replica
         args = [
             "convergence", "--model", "gbm", "--steps", "5,6",
             "--ref-exponent", "9", "--horizon", "1", "--samples", "300",
         ]
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"conv_{threads}.csv"
-            monkeypatch.setenv("SFDE_TEM_THREADS", threads)
+        for ring_entries, batches in ((experiments.RING_ENTRIES, 1), (17 * 100, 3)):
+            monkeypatch.setattr(experiments, "RING_ENTRIES", ring_entries)
+            assert len(list(experiments._batches(300, 16, 1, 512))) == batches
+            out = tmp_path / f"conv_{batches}.csv"
             assert main(args + ["--output", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

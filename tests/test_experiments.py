@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import sfde_tem
-from sfde_tem import experiments
-from sfde_tem.brownian import coarsen, sample_increments
+from sfde_tem import brownian, experiments
+from sfde_tem.brownian import _CoarseningStream, coarsen, sample_increments, total_increment
 from sfde_tem.errors import ConfigurationError, DegenerateFitError
 from sfde_tem.experiments import (
     ErrorTable,
@@ -154,6 +154,22 @@ class TestStrongError:
         assert table.reference_hits is None
         assert table.truncation_hits.tolist() == [0, 0]
 
+    def test_exact_terminal_receives_total_increment(self, monkeypatch):
+        # blocks of 128 of the K = 512 fine steps: B(T) is still one (B, 1, d) path
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        monkeypatch.setattr(brownian, "SWEEP_BYTES", 2**17)
+        seen = []
+
+        def closed_form(increments, horizon):
+            seen.append(increments.copy())
+            return np.zeros((increments.shape[0], 1))
+
+        strong_error(m, [2.0**-5, 2.0**-6], 2.0**-9, 1.0, 120, 4, exact_terminal=closed_form)
+        (got,) = seen
+        assert got.shape == (120, 1, 1)
+        for r in range(120):
+            assert np.array_equal(got[r, 0], total_increment(sample_increments(4, r, 1, 2.0**-9, 512)))
+
     @pytest.mark.parametrize(
         "ref_exponent, horizon",
         [(14, 0.25), (10, 2.0)],
@@ -188,7 +204,7 @@ class TestStrongError:
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         oracle = gbm_closed_form(1.0, 0.5, 1.0)
         peaks = []
-        for samples in (experiments.FINE_REPLICAS, 1000):
+        for samples in (256, 1000):
             tracemalloc.start()
             try:
                 strong_error(m, [2.0**-5, 2.0**-6], 2.0**-12, 1.0, samples, 1, exact_terminal=oracle)
@@ -196,6 +212,67 @@ class TestStrongError:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
+
+
+def _two_phase_table(m, steps, step_ref, horizon, samples, seed, exact_terminal=None):
+    """The strong-error table the old way: whole fine paths, the reference, then each level."""
+    n_ref = round(horizon / step_ref)
+    fine = np.stack([sample_increments(seed, r, m.dim_noise, step_ref, n_ref) for r in range(samples)])
+    if exact_terminal is not None:
+        ref_term, ref_hits = exact_terminal(fine, horizon), None
+    else:
+        ref = _run_batch(m, SchemeConfig(step=step_ref, horizon=horizon), fine)
+        ref_term, ref_hits = ref.terminal, int(ref.truncation_hits.sum())
+    err_sq, hits = [], []
+    for step in steps:
+        level = np.stack([coarsen(inc, round(step / step_ref)) for inc in fine])
+        res = _run_batch(m, SchemeConfig(step=step, horizon=horizon), level)
+        err_sq.append(np.sum((res.terminal - ref_term) ** 2, axis=-1))
+        hits.append(int(res.truncation_hits.sum()))
+    err_sq = np.array(err_sq)
+    rms = np.sqrt(err_sq.mean(axis=1))
+    std = err_sq.std(axis=1, ddof=1) / math.sqrt(samples) / (2.0 * rms)
+    return rms, std, hits, ref_hits
+
+
+class TestCoupledSweep:
+    # example1 (tau = 1/2) at K = 80 = 5 * 2^4 reference steps, so blocks
+    # cannot be a power of two times the whole run; gbm (tau = 1/32) with its
+    # closed form at K = 512.  "three_batches" patches RING_ENTRIES to the
+    # reference ring of 40 replicas; "small_block" keeps one batch but caps
+    # the sweep's blocks (SWEEP_BYTES) below the run.
+    CASES = {
+        "example1": (builtin_example1, [2.0**-3, 2.0**-4, 2.0**-5], 2.0**-7, 0.625, 120, None),
+        "gbm_exact": (
+            lambda: builtin_gbm_oracle(1.0, 0.5, 1.0),
+            [2.0**-5, 2.0**-6, 2.0**-7], 2.0**-10, 0.5, 120, gbm_closed_form(1.0, 0.5, 1.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("layout", ["three_batches", "small_block"])
+    def test_table_equals_two_phase_oracle(self, monkeypatch, case, layout):
+        factory, steps, step_ref, horizon, samples, exact = self.CASES[case]
+        m = factory()
+        n_hist, n_ref = round(m.tau / step_ref), round(horizon / step_ref)
+        rows = min(n_hist + 1, n_ref)
+        if layout == "three_batches":
+            monkeypatch.setattr(experiments, "RING_ENTRIES", rows * 40)
+            assert len(list(experiments._batches(samples, n_hist, 1, n_ref))) == 3
+        else:
+            monkeypatch.setattr(brownian, "SWEEP_BYTES", 2**17)
+            assert len(list(experiments._batches(samples, n_hist, 1, n_ref))) == 1
+            levels = [(f, None) for f in sorted(round(s / step_ref) for s in steps)]
+            block = _CoarseningStream(0, 0, samples, 1, step_ref, n_ref, levels).block
+            assert block < n_ref and n_ref % block == 0
+
+        table = strong_error(m, steps, step_ref, horizon, samples, 9, exact_terminal=exact)
+        rms, std, hits, ref_hits = _two_phase_table(m, steps, step_ref, horizon, samples, 9, exact)
+        assert np.array_equal(table.rms_errors, rms)
+        assert np.array_equal(table.std_errors, std)
+        assert table.truncation_hits.tolist() == hits
+        assert table.reference_hits == ref_hits
+        assert table.fitted_slope == fit_rate(table)
 
 
 class TestMomentEstimate:

@@ -268,7 +268,7 @@ class TestBatchConsistency:
             [sample_increments(seed, first + i, m.dim_noise, step, n_steps) for i in range(count)], axis=1
         )
         if source == "stream":
-            monkeypatch.setattr(brownian, "STREAM_BLOCK", 7)
+            monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * 7 * count * m.dim_noise)
             inc = IncrementStream(seed, first, count, m.dim_noise, step, n_steps)
         else:
             inc = time_major.transpose(1, 0, 2)
@@ -364,12 +364,14 @@ class TestRunningIntegralAccuracy:
     )
     def test_boxcar_on_any_node_matches_segment_replay(self, exponent, data, variant, seed):
         # a boxcar [-(N - m) Delta, 0] on a random node m and a constant
-        # weight, over N+1..3N+1 steps so the running sums resync at least once
+        # weight, over 1..3N+1 steps: runs short enough that only initial data
+        # leaves the boxcar (K <= N - m, no ring), runs just past that, and
+        # runs whose running sums resync at least once
         step = 2.0**-exponent
         base = builtin_example1()
         n_hist = resolve_grid(base, SchemeConfig(step=step, horizon=1.0))[1]
         m_node = data.draw(st.integers(1, n_hist - 1), label="m")
-        n_steps = data.draw(st.integers(n_hist + 1, 3 * n_hist + 1), label="steps")
+        n_steps = data.draw(st.integers(1, 3 * n_hist + 1), label="steps")
         box = boxcar_weight(-(n_hist - m_node) * step, 0.0, value=data.draw(st.floats(0.5, 2.0), label="box"))
         flat = constant_weight(data.draw(st.floats(0.5, 2.0), label="flat"))
 
@@ -391,6 +393,50 @@ class TestRunningIntegralAccuracy:
                 new, pre = tem_step(m, seg, inc[r, k], radius)
                 seg = seg.shift_append(new if variant == TRUNCATED_EM else pre)
             assert np.allclose(res.terminal[r], seg.head, atol=1e-10)
+
+
+_STORAGE_N, _STORAGE_M = 16, 5
+_STORAGE_BOX = boxcar_weight(-(_STORAGE_N - _STORAGE_M) * 2.0**-5, 0.0)
+
+
+class TestHistoryStorageBoundary:
+    # N = 16 history steps.  A fast integral keeps a ring only if a simulated
+    # state leaves its support (K > N - m), and the window's ring has
+    # min(N+1, K) rows: K runs across both boundaries, for a constant weight
+    # (m = 0) and a boxcar on node m = 5
+    @pytest.mark.parametrize(
+        "weight, m_node", [(_FLAT, 0), (_STORAGE_BOX, _STORAGE_M)], ids=["constant", "boxcar"]
+    )
+    @pytest.mark.parametrize("k_case", ["1", "2", "N-m", "N-m+1", "N-m+2", "N+1", "2N+1"])
+    def test_batch_matches_single_runs_and_replay(self, weight, m_node, k_case):
+        n = _STORAGE_N
+        n_steps = {"1": 1, "2": 2, "N-m": n - m_node, "N-m+1": n - m_node + 1,
+                   "N-m+2": n - m_node + 2, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
+
+        def drift(seg):
+            h = seg.head[..., 0]
+            return (h - h * h * h + np.asarray(seg.weighted_integral(weight, _first)))[..., None]
+
+        def diffusion(seg):
+            return 0.5 * np.asarray(seg.weighted_integral(weight, _square))[..., None, None]
+
+        step = 2.0**-5
+        m = dataclasses.replace(builtin_example1(), drift=drift, diffusion=diffusion)
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        assert resolve_grid(m, cfg)[1] == n
+        inc = np.stack([sample_increments(23, r, 1, step, n_steps) for r in range(3)])
+        batch = _batch_states(m, cfg, inc)
+        res = _run_batch(m, cfg, inc)
+        radius = truncation_radius(m.gamma, step)
+        for r in range(3):
+            single = simulate(m, cfg, inc[r])
+            assert np.array_equal(batch[r], single.states)
+            assert np.array_equal(res.terminal[r], single.states[-1])
+            assert res.truncation_hits[r] == single.truncation_hits
+            seg = init_segment(m, cfg)
+            for k in range(n_steps):
+                seg = seg.shift_append(tem_step(m, seg, inc[r, k], radius)[0])
+            assert np.allclose(single.states[-1], seg.head, atol=1e-10)
 
 
 class TestLastStep:
