@@ -439,6 +439,49 @@ class TestHistoryStorageBoundary:
             assert np.allclose(single.states[-1], seg.head, atol=1e-10)
 
 
+_LAG_N = 16
+_LAG_ON, _LAG_OFF = -0.25, -1.0 / 6.0  # tau = 1/2: -tau/2 is node 8 of 16, -tau/3 lies between nodes
+
+
+def _lagged_drift(seg):
+    h = seg.head
+    return h - h * h * h + 0.5 * np.asarray(seg.lerp_eval(_LAG_ON))
+
+
+def _lagged_diffusion(seg):
+    lag = np.asarray(seg.lerp_eval(_LAG_OFF))
+    return (0.5 * lag * lag)[..., None]
+
+
+class TestDiscreteDelayReads:
+    # example1's coefficients with discrete delays read through lerp_eval, on
+    # node and between nodes: the history ring serves these reads, over runs
+    # shorter than, equal to and longer than the N = 16 history steps
+    @pytest.mark.parametrize("variant", [TRUNCATED_EM, CLASSIC_EM])
+    @pytest.mark.parametrize("k_case", ["1", "2", "N-1", "N", "N+1", "2N+1"])
+    def test_batch_matches_single_runs_and_replay(self, k_case, variant):
+        n = _LAG_N
+        n_steps = {"1": 1, "2": 2, "N-1": n - 1, "N": n, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
+        step = 2.0**-5
+        m = dataclasses.replace(builtin_example1(), drift=_lagged_drift, diffusion=_lagged_diffusion)
+        cfg = SchemeConfig(step=step, horizon=n_steps * step, variant=variant)
+        assert resolve_grid(m, cfg)[1] == n
+        inc = np.stack([sample_increments(29, r, 1, step, n_steps) for r in range(3)])
+        batch = _batch_states(m, cfg, inc)
+        res = _run_batch(m, cfg, inc)
+        assert np.all(np.isfinite(batch))
+        radius = truncation_radius(m.gamma, step)
+        for r in range(3):
+            single = simulate(m, cfg, inc[r])
+            assert np.array_equal(batch[r], single.states)
+            assert np.array_equal(res.terminal[r], single.states[-1])
+            seg = init_segment(m, cfg)
+            for k in range(n_steps):
+                new, pre = tem_step(m, seg, inc[r, k], radius)
+                seg = seg.shift_append(new if variant == TRUNCATED_EM else pre)
+            assert np.allclose(single.states[-1], seg.head, rtol=0.0, atol=1e-10)
+
+
 class TestLastStep:
     @pytest.mark.parametrize("weight", [constant_weight(1.0), _RAMP], ids=["constant", "ramp_weight"])
     def test_history_integrals_not_evaluated_on_final_state(self, weight):
