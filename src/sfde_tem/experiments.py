@@ -2,12 +2,14 @@
 
 Replica r of a run draws its Brownian path from the (seed, r) counter
 stream, so every replica's path is the same however replicas are grouped.
-Replicas run serially in batches whose history ring, min(N+1, K) * n
-floats per replica (history N, K steps), holds at most ``RING_ENTRIES``
-floats.  Increments are streamed a block at a time and no batch holds a
-whole Brownian path; ``strong_error`` steps the reference and every coarse
-level in lock-step over each block.  Batch results are reduced in index
-order, so a seed reproduces every number bit for bit.
+Replicas run serially in batches sized so that a history ring of
+min(N+1, K) * n floats per replica (history N, K steps) would hold at most
+``RING_ENTRIES`` floats; the driver makes that ring only for coefficients
+that read simulated states.  Increments are streamed a block at a time
+and no batch holds a whole Brownian path; ``strong_error`` steps the
+reference and every coarse level in lock-step over each block.  Batch
+results are reduced in index order, so a seed reproduces every number bit
+for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ def _batches(samples: int, n_hist: int, dim: int, n_steps: Optional[int] = None)
     A batch holds at most RING_ENTRIES // (rows * dim) replicas, where rows
     = min(N+1, K) is the length of the history ring (N+1 if K is not
     given); the fewest batches within that bound share the replicas evenly.
+    The bound is for the worst case, coefficients that read simulated
+    states; the driver makes no ring for coefficients that read only the
+    head and running integrals, and their batches are sized the same.
     """
     rows = n_hist + 1 if n_steps is None else min(n_hist + 1, n_steps)
     most = max(1, RING_ENTRIES // (rows * dim))

@@ -11,7 +11,10 @@ with ``...`` indexing (e.g. ``seg.head[..., 0]``) lets the simulation
 engine evaluate whole replica batches in one call.  The engine matches
 integral weights and transforms by identity, so the builtins define them
 once at module level, which keeps every integral an O(1) running sum; a
-pair built anew on each call costs a full quadrature per read.  The builtin
+pair built anew on each call costs a full quadrature per read.  The engine
+stores simulated states only for coefficients that read them, through a
+history node off the head (``lerp_eval``) or a full quadrature; such
+reads must begin within the first two steps.  The builtin
 coefficients write cubes as products, ``h * h * h``: numpy evaluates
 ``h**3`` with libm ``pow``, about ten times slower per element.
 """

@@ -11,15 +11,19 @@ below simulates a whole batch of replicas at once: every operation is
 elementwise across the batch, so each replica's path is bit-identical no
 matter how replicas are grouped into batches.  History is stored only
 where it is read: the (N+1, n) initial path once, and the simulated states
-of a run of K steps in a time-major ring of min(N+1, K) rows, shape
-(rows, B, n), so reading one history node of every replica touches one
-contiguous slot.  Distributed-delay integrals inside the coefficients are
-kept as running trapezoid sums, one term per (weight, transform) pair the
-coefficients read before the first step: constant and boxcar weights
-slide in O(1) per step (and keep a ring of transformed states, recomputed
-from every N steps, only if a simulated state leaves the weight's
-support), other weights are recomputed by full quadrature after every
-step, and a pair first read later costs a full quadrature per read.
+of a run of K steps only if a coefficient reads a history node off the
+head (``lerp_eval``) or a full quadrature, then in a time-major ring of
+min(N+1, K) rows, shape (rows, B, n), so reading one history node of
+every replica touches one contiguous slot.  Such reads must begin within
+the first two steps; a first one later raises ``ConfigurationError``, as
+the states it needs were not stored.  Distributed-delay integrals inside
+the coefficients are kept as running trapezoid sums, one term per
+(weight, transform) pair the coefficients read before the first step:
+constant and boxcar weights slide in O(1) per step (and keep a ring of
+transformed states, recomputed from every N steps, only if a simulated
+state leaves the weight's support), other weights are recomputed by full
+quadrature after every step, and a pair first read later costs a full
+quadrature per read.
 ``_Driver`` steps a batch over blocks of increment rows; ``_run_batch``
 runs one over a whole array or stream.  A step costs a fixed handful of
 whole-batch array operations, so the driver keeps per-step overhead down:
@@ -208,13 +212,22 @@ class _SlidingWindow:
 
     Logical node j (0 = oldest, N = head) after s shifts sits at grid index
     i = s - N + j.  Nodes at times <= 0 (i <= 0) are read from ``initial``,
-    the (N+1, n) initial data every replica starts from, stored once.  The
-    simulated states Y_1, ..., Y_{K-1} go to a time-major ring ``buf`` of
-    min(N+1, K) rows, shape (rows, B, n): Y_i in slot (i - 1) mod rows, so
-    one history node of every replica is one contiguous slot and no replica
-    holds a copy of the initial data.  ``head`` is the (B, n) newest node.
-    Shifting writes the new head, then updates every registered integral
-    term.
+    the (N+1, n) initial data every replica starts from, stored once.
+    ``head`` is the (B, n) newest node.  Shifting takes in the new head,
+    then updates every registered integral term.
+
+    The simulated states Y_1, ..., Y_{K-1} are stored only if a coefficient
+    reads them: the window starts with no state ring, and until it has one
+    a shift keeps the new head as it is, without a copy (the driver builds
+    each step's states afresh).  The first read that could later need a
+    stored state, a node off the head (``lerp_eval``) or a full quadrature
+    (``logical_values``), makes the ring: min(N+1, K) rows, shape
+    (rows, B, n), Y_i in slot (i - 1) mod rows, so one history node of
+    every replica is one contiguous slot and no replica holds a copy of the
+    initial data.  After at most one shift every simulated state is the
+    head, which the new ring takes in; a first such read after the second
+    shift raises ``ConfigurationError``, since states it needs were never
+    stored.
 
     Integral terms are registered by the identity of their (weight,
     transform) pair on a read before the first shift.  A pair first read
@@ -229,23 +242,42 @@ class _SlidingWindow:
         self.batch = batch
         self.tau = tau
         self.step = tau / self.n_steps
-        self._buf = np.empty((min(self.n_steps + 1, run_steps), batch, initial.shape[1]))
+        self._buf = None
         self.head = np.broadcast_to(initial[-1], (batch, initial.shape[1]))
         self.shifts = 0
         self._terms = {}
 
+    def _ring(self, read: str) -> np.ndarray:
+        """The state ring, made on the first read that could later need a stored state."""
+        if self._buf is None:
+            if self.shifts > 1:
+                raise ConfigurationError(
+                    f"a coefficient first read {read} at step {self.shifts + 1}; the simulated "
+                    f"states it needs were not stored (reads of history nodes must begin "
+                    f"within the first two steps)"
+                )
+            self._buf = np.empty((min(self.n_steps + 1, self.run_steps), self.batch, self.initial.shape[1]))
+            if self.shifts:
+                self._buf[0] = self.head
+                self.head = self._buf[0]
+        return self._buf
+
     def _node(self, j: int) -> np.ndarray:
+        if j == self.n_steps:
+            return self.head
+        buf = self._ring("a history node off the head")
         i = self.shifts - self.n_steps + j
         if i <= 0:
             return np.broadcast_to(self.initial[self.n_steps + i], self.head.shape)
-        return self._buf[(i - 1) % len(self._buf)]
+        return buf[(i - 1) % len(buf)]
 
     def logical_values(self) -> np.ndarray:
+        buf = self._ring("a full quadrature of the history")
         n, s = self.n_steps, self.shifts
         old = max(0, n + 1 - s)  # the oldest nodes, still initial data
         out = np.empty((n + 1,) + self.head.shape)
         out[:old] = self.initial[n + 1 - old :, None]
-        out[old:] = self._buf[(np.arange(s - n + old, s + 1) - 1) % len(self._buf)]
+        out[old:] = buf[(np.arange(s - n + old, s + 1) - 1) % len(buf)]
         return out
 
     def lerp_eval(self, theta: float) -> np.ndarray:
@@ -262,9 +294,12 @@ class _SlidingWindow:
         return term.value
 
     def shift(self, new_states: np.ndarray) -> None:
-        slot = self.shifts % len(self._buf)
-        self._buf[slot] = new_states
-        self.head = self._buf[slot]
+        if self._buf is None:
+            self.head = new_states
+        else:
+            slot = self.shifts % len(self._buf)
+            self._buf[slot] = new_states
+            self.head = self._buf[slot]
         self.shifts += 1
         resync = self.shifts % self.n_steps == 0
         for term in self._terms.values():
@@ -419,7 +454,8 @@ def _run_batch(
     ``per_step(k, states, pre, alive)`` is invoked at every grid index
     k = 0..K with the (B, n) post-truncation states and pre-truncation
     values (the raw initial head at k = 0); the arrays are only valid during
-    the call.  All arithmetic is elementwise across the batch, so results
+    the call and must not be written to, as the states may be the window's
+    head.  All arithmetic is elementwise across the batch, so results
     are independent of how replicas are batched.
     """
     _, _, n_steps = resolve_grid(model, config)

@@ -200,9 +200,12 @@ class TestStrongError:
     def test_memory_does_not_grow_with_samples_at_short_history(self):
         # the oracle's history is N = 128 steps against K = 4096 fine steps, so
         # the rings would allow every replica in one batch; the fine increments
-        # bound the batch instead
+        # bound the batch instead.  A warm-up call first, so that neither
+        # measured call pays for first-use allocations; the per-replica growth
+        # bound is tighter than the ratio, which the fixed stream block dominates
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         oracle = gbm_closed_form(1.0, 0.5, 1.0)
+        strong_error(m, [2.0**-5, 2.0**-6], 2.0**-12, 1.0, 256, 1, exact_terminal=oracle)
         peaks = []
         for samples in (256, 1000):
             tracemalloc.start()
@@ -212,6 +215,24 @@ class TestStrongError:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
+        assert (peaks[1] - peaks[0]) / (1000 - 256) < 600
+
+    def test_no_state_ring_when_coefficients_read_only_integrals(self):
+        # criterion 1's shape at T = 1/4: example1 reads its history only
+        # through a running integral, so the window stores no simulated state
+        # and the peak stays below one (K, B) state ring of the reference
+        m = builtin_example1()
+        step_ref, horizon, samples = 2.0**-14, 0.25, 256
+        steps = [2.0**-j for j in (5, 6, 7, 8, 10)]
+        state_ring = 8 * samples * round(horizon / step_ref)
+        strong_error(m, steps, step_ref, horizon, samples, 1)
+        tracemalloc.start()
+        try:
+            strong_error(m, steps, step_ref, horizon, samples, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state_ring
 
 
 def _two_phase_table(m, steps, step_ref, horizon, samples, seed, exact_terminal=None):

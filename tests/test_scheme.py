@@ -482,6 +482,57 @@ class TestDiscreteDelayReads:
             assert np.allclose(single.states[-1], seg.head, rtol=0.0, atol=1e-10)
 
 
+def _reads_from_step(first_step, read):
+    """example1 whose drift adds ``read(seg)`` from step ``first_step`` on, and its initial value before."""
+    base = builtin_example1()
+    calls = []
+
+    def drift(seg):
+        calls.append(None)
+        lag = read(seg) if len(calls) >= first_step else np.full(seg.head.shape, -1.25)
+        return np.asarray(base.drift(seg)) + 0.5 * lag
+
+    return dataclasses.replace(base, drift=drift)
+
+
+def _lag_read(seg):
+    return np.asarray(seg.lerp_eval(_LAG_ON))
+
+
+def _inline_quadrature_read(seg):
+    # a transform built per call is never registered: each read is a full quadrature
+    return np.asarray(seg.weighted_integral(_FLAT, lambda v: v[..., 0]))[..., None]
+
+
+class TestHistoryStoredOnlyWhenRead:
+    # the window stores simulated states only once a coefficient reads a node
+    # off the head or a full quadrature; before the second shift every state
+    # simulated so far is the head, so the ring can still start exact
+    @pytest.mark.parametrize(
+        "read, kind",
+        [(_lag_read, "a history node off the head"), (_inline_quadrature_read, "a full quadrature")],
+        ids=["lerp_eval", "quadrature"],
+    )
+    def test_first_read_after_second_shift_names_step(self, read, kind):
+        step = 2.0**-5
+        m = _reads_from_step(3, read)
+        inc = np.stack([sample_increments(2, r, 1, step, 8) for r in range(3)])
+        with pytest.raises(ConfigurationError, match=rf"{kind}.* at step 3;"):
+            _run_batch(m, SchemeConfig(step=step, horizon=8 * step), inc)
+
+    @pytest.mark.parametrize("variant", [TRUNCATED_EM, CLASSIC_EM])
+    def test_first_read_at_step_two_matches_read_from_step_one(self, variant):
+        # -tau/2 is a node holding the initial value -1.25 for the first N/2
+        # steps, so both coefficients give the same drift at every step
+        step, n_steps = 2.0**-5, 2 * _LAG_N + 1
+        cfg = SchemeConfig(step=step, horizon=n_steps * step, variant=variant)
+        inc = np.stack([sample_increments(17, r, 1, step, n_steps) for r in range(3)])
+        late = _run_batch(_reads_from_step(2, _lag_read), cfg, inc)
+        early = _run_batch(_reads_from_step(1, _lag_read), cfg, inc)
+        assert np.array_equal(late.terminal, early.terminal)
+        assert np.array_equal(late.truncation_hits, early.truncation_hits)
+
+
 class TestLastStep:
     @pytest.mark.parametrize("weight", [constant_weight(1.0), _RAMP], ids=["constant", "ramp_weight"])
     def test_history_integrals_not_evaluated_on_final_state(self, weight):
