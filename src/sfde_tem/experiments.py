@@ -27,7 +27,7 @@ from .brownian import IncrementStream, _CoarseningStream, _tree_total, ratio_as_
 from .brownian import _block_sums, sample_increments  # noqa: F401
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .model import SfdeModel
-from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _Driver, _run_batch, resolve_grid
+from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _Driver, _History, _run_batch, resolve_grid
 from .segment import Segment, _sum_last_axis, constant_weight
 
 RING_ENTRIES = 2**22
@@ -78,18 +78,17 @@ class StabilityReport:
     samples: int
 
 
-def _batches(samples: int, n_hist: int, dim: int, n_steps: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+def _batches(samples: int, n_hist: int, dim: int, n_steps: int) -> Iterator[Tuple[int, int]]:
     """Yield (start, count) per batch of replicas in index order.
 
     A batch holds at most RING_ENTRIES // (rows * dim) replicas, where rows
-    = min(N+1, K) is the length of the history ring (N+1 if K is not
-    given); the fewest batches within that bound share the replicas evenly.
-    The bound is for the worst case, coefficients that read simulated
-    states; the driver makes no ring for coefficients that read only the
-    head and running integrals, and their batches are sized the same.
+    is the length of a history ring over K steps (``scheme._History.rows``);
+    the fewest batches within that bound share the replicas evenly.  The
+    bound is for the worst case, coefficients that read simulated states;
+    the driver makes no ring for coefficients that read only the head and
+    running integrals, and their batches are sized the same.
     """
-    rows = n_hist + 1 if n_steps is None else min(n_hist + 1, n_steps)
-    most = max(1, RING_ENTRIES // (rows * dim))
+    most = max(1, RING_ENTRIES // (_History.rows(n_hist, n_steps) * dim))
     size = -(-samples // -(-samples // most))
     for start in range(0, samples, size):
         yield start, min(size, samples - start)

@@ -9,21 +9,19 @@ where seg_k is the piecewise-linear history window and clip is the radial
 truncation to the ball of radius Gamma^{-1}(K Delta^-lambda).  The driver
 below simulates a whole batch of replicas at once: every operation is
 elementwise across the batch, so each replica's path is bit-identical no
-matter how replicas are grouped into batches.  History is stored only
-where it is read: the (N+1, n) initial path once, and the simulated states
-of a run of K steps only if a coefficient reads a history node off the
-head (``lerp_eval``) or a full quadrature, then in a time-major ring of
-min(N+1, K) rows, shape (rows, B, n), so reading one history node of
-every replica touches one contiguous slot.  Such reads must begin within
-the first two steps; a first one later raises ``ConfigurationError``, as
-the states it needs were not stored.  Distributed-delay integrals inside
-the coefficients are kept as running trapezoid sums, one term per
-(weight, transform) pair the coefficients read before the first step:
-constant and boxcar weights slide in O(1) per step (and keep a ring of
-transformed states, recomputed from every N steps, only if a simulated
-state leaves the weight's support), other weights are recomputed by full
-quadrature after every step, and a pair first read later costs a full
-quadrature per read.
+matter how replicas are grouped into batches.  One rule (``_History``)
+places every grid index of a batch's history: index i <= 0 is node N + i
+of an initial path stored once for all replicas, and a simulated index
+i >= 1 is row (i - 1) mod min(N+1, K) of a time-major ring, kept only
+where it is read, so one index of every replica is one contiguous row.
+The window keeps its states, shape (rows, B, n), only if a coefficient
+reads a history node off the head (``lerp_eval``) or a full quadrature,
+beginning within the first two steps (a first read later raises
+``ConfigurationError``).  A constant or boxcar (weight, transform) pair
+the coefficients read before the first step is a running trapezoid sum,
+sliding in O(1) per step; it keeps its transformed states, and recomputes
+its sum from them every N steps, only if a simulated state leaves the
+weight's support.  Every other integral read is a full quadrature.
 ``_Driver`` steps a batch over blocks of increment rows; ``_run_batch``
 runs one over a whole array or stream.  A step costs a fixed handful of
 whole-batch array operations, so the driver keeps per-step overhead down:
@@ -113,172 +111,172 @@ def _apply_noise(g: np.ndarray, db: np.ndarray) -> np.ndarray:
     return _sum_last_axis(g * db[..., None, :])
 
 
-def _quadrature(window: "_SlidingWindow", samples: np.ndarray, transform) -> np.ndarray:
-    """Full trapezoid of a transform over every replica's window, weights sampled at the nodes."""
-    h = _apply_transform(transform, window.logical_values())
-    return _trapezoid_sum(h * samples[:, None], window.step, axis=0)
+class _History:
+    """Where grid index i of a batch's history lives.
+
+    ``h[i]`` is node N + i of ``initial``, an (N+1, ...) path shared by every
+    replica, for i <= 0, and row (i - 1) mod rows of ``ring`` for i >= 1.
+    ``make_ring`` makes the ring for a run of K steps: ``rows(N, K)`` =
+    min(N+1, K) rows of shape (B, ...), enough for every node of a window.
+    """
+
+    __slots__ = ("initial", "ring")
+
+    def __init__(self, initial: np.ndarray):
+        self.initial = initial
+        self.ring = None
+
+    @staticmethod
+    def rows(n_hist: int, run_steps: int) -> int:
+        return min(n_hist + 1, run_steps)
+
+    def make_ring(self, batch: int, run_steps: int) -> None:
+        shape = self.initial.shape
+        self.ring = np.empty((self.rows(shape[0] - 1, run_steps), batch) + shape[1:])
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if i <= 0:
+            return self.initial[i - 1]  # node N + i of N+1 is the (1 - i)-th from the end
+        return self.ring[(i - 1) % len(self.ring)]
+
+    def put(self, i: int, value: np.ndarray) -> np.ndarray:
+        """Store value ``i`` >= 1 and return the row that holds it."""
+        row = self.ring[(i - 1) % len(self.ring)]
+        row[...] = value
+        return row
+
+    def window_at(self, s: int) -> np.ndarray:
+        """A copy of the N+1 nodes s - N..s, stacked on a new leading axis."""
+        n = len(self.initial) - 1
+        old = max(0, n + 1 - s)  # nodes s - N..0 are initial data
+        out = np.empty((n + 1,) + self.ring.shape[1:])
+        out[:old] = self.initial[n + 1 - old :, None]
+        out[old:] = self.ring[(np.arange(s - n + old, s + 1) - 1) % len(self.ring)]
+        return out
 
 
 class _IntegralTerm:
-    """Running trapezoid state for one (weight, transform) pair, built before the first shift.
+    """Running trapezoid sum of a constant or boxcar (weight, transform) pair, built before the first shift.
 
-    Constant and boxcar weights are fast terms: ``value`` slides in O(1)
-    per shift, adding the new head and dropping the node that leaves the
-    weight's support (node m of the window; m = 0 for a constant weight).
-    ``initial`` is the transformed initial path, shared by every replica,
-    and ``head`` the transformed newest node, never a view of the window.
-    A fast term keeps a ring of its transformed history, (N+1, B) in the
-    window's slot order for N+1 rows, only if a simulated state leaves its
-    support during the run (K > N - m); then ``value`` is also recomputed
-    from the ring every N shifts (``resync``), so rounding carried over
-    from values that have left the window does not pile up.  Otherwise
-    every leaving node is initial data, read from ``initial``, and the run
-    is shorter than N shifts.  Other weights keep no ring and recompute
-    ``value`` by full quadrature after every shift.
+    ``value`` slides in O(1) per shift: it adds the new head and drops the
+    node that leaves the support, which starts at window node m
+    (``sliding_node``).  ``hist`` holds the transformed history, with a ring
+    only if a simulated state leaves the support during the run (K > N - m);
+    then ``value`` is also recomputed from it every N shifts (``resync``),
+    so rounding carried over from values that have left the window does not
+    pile up.  ``head`` is the transformed newest node, never a view of the
+    window.
     """
 
-    __slots__ = ("weight", "transform", "samples", "coeff", "m_slot", "initial", "head", "ring", "value")
+    __slots__ = ("weight", "transform", "samples", "coeff", "m_node", "hist", "head", "value")
 
-    def __init__(self, weight: WeightFunction, transform, window: "_SlidingWindow"):
+    def __init__(self, weight: WeightFunction, transform, m_node: int, window: "_SlidingWindow"):
         # the window finds terms by the ids of this pair: holding both keeps
         # a later object from taking either id while the term is registered
         self.weight = weight
         self.transform = transform
         self.samples = node_weights(weight, window.tau, window.n_steps)
         self.coeff = weight.plateau * window.step * 0.5
-        self.m_slot = None
-        n = window.n_steps
+        self.m_node = m_node
+        # every replica still holds the initial nodes: one value serves them all
+        h = _apply_transform(transform, window.hist.initial)
+        self.hist = _History(h)
+        self.head = h[-1]
+        self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
+        if window.run_steps > window.n_steps - m_node:
+            self.hist.make_ring(window.batch, window.run_steps)
+
+    @staticmethod
+    def sliding_node(weight: WeightFunction, window: "_SlidingWindow") -> Optional[int]:
+        """Node m where a constant weight's (m = 0) or a boxcar [(m - N) Delta, 0]'s support starts, else None."""
         if weight.kind == "constant":
-            self.m_slot = 0
-        elif weight.kind == "boxcar" and weight.declared_support is not None:
+            return 0
+        if weight.kind == "boxcar" and weight.declared_support is not None:
             lo, hi = weight.declared_support
+            n = window.n_steps
             m = round(lo / window.step) + n
             on_node = abs(lo - (m - n) * window.step) <= NODE_SNAP_REL * max(1.0, window.tau)
             if hi == 0.0 and on_node and 1 <= m <= n - 1:
-                self.m_slot = int(m)
-        # every replica still holds the initial nodes: one value serves them all
-        h = self.initial = _apply_transform(transform, window.initial)
-        self.head = h[-1]
-        self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
-        self.ring = None
-        if self.m_slot is not None and window.run_steps > n - self.m_slot:
-            self.ring = np.empty((n + 1, window.batch))
-            self.ring[:] = h[:, None]
+                return int(m)
+        return None
 
     def shift(self, window: "_SlidingWindow", resync: bool):
         """Take in the head the window has just written, its ``window.shifts``-th state."""
-        if self.m_slot is None:
-            self.value = _quadrature(window, self.samples, self.transform)
-            return
-        s, m, ring = window.shifts, self.m_slot, self.ring
+        s, n, hist = window.shifts, window.n_steps, self.hist
+        i = s - n + self.m_node  # nodes m and m+1 before the shift sit at i - 1 and i
         h_new = _apply_transform(self.transform, window.head)
-        if ring is None:
-            # nodes m and m+1 before the shift, at times (s-1-N+m) Delta and
-            # (s-N+m) Delta <= 0, are initial data
-            h_m, h_m1 = self.initial[s - 1 + m], self.initial[s + m]
-        else:
-            slots = ring.shape[0]
-            slot = (s - 1) % slots  # the slot of the node that has just left
-            h_m = ring[(slot + m) % slots]
-            h_m1 = ring[(slot + m + 1) % slots]
-        self.value = self.value + self.coeff * (h_new + self.head - h_m1 - h_m)
-        if ring is None:
-            # a transform may return a view of the window (``v[..., 0]``)
-            self.head = h_new.copy()
-            return
-        ring[slot] = h_new
-        self.head = ring[slot]
+        self.value = self.value + self.coeff * (h_new + self.head - hist[i] - hist[i - 1])
+        # a transform may return a view of the window (``v[..., 0]``); a run
+        # that resyncs (K > N) keeps a ring
+        self.head = h_new.copy() if hist.ring is None else hist.put(s, h_new)
         if resync:
-            self.resync((slot + 1) % slots, window.step)
+            self.resync(s, n, window.step)
 
-    def resync(self, start: int, step: float):
-        """Recompute ``value`` from the ring; the oldest node sits in slot ``start``.
+    def resync(self, s: int, n: int, step: float):
+        """Recompute ``value`` from the window s - N..s of ``hist``.
 
         The trapezoid of ``_trapezoid_sum``, nodes added one after another
-        in window order, one ring row at a time: the same arithmetic for
-        every replica at any batch size, and no copy of the ring.
+        in window order, one row at a time: the same arithmetic for every
+        replica at any batch size, and no copy of the ring.
         """
-        ring, w = self.ring, self.samples
-        slots = ring.shape[0]
-        m = self.m_slot
-        total = w[m] * ring[(start + m) % slots]
-        for j in range(m + 1, slots):
-            total = total + w[j] * ring[(start + j) % slots]
-        self.value = step * (total - 0.5 * (w[0] * ring[start] + w[-1] * ring[start - 1]))
+        hist, w, m = self.hist, self.samples, self.m_node
+        total = w[m] * hist[s - n + m]
+        for j in range(m + 1, n + 1):
+            total = total + w[j] * hist[s - n + j]
+        self.value = step * (total - 0.5 * (w[0] * hist[s - n] + w[n] * hist[s]))
 
 
 class _SlidingWindow:
     """History window of a batch over a run of K steps, presenting the Segment evaluation surface.
 
-    Logical node j (0 = oldest, N = head) after s shifts sits at grid index
-    i = s - N + j.  Nodes at times <= 0 (i <= 0) are read from ``initial``,
-    the (N+1, n) initial data every replica starts from, stored once.
-    ``head`` is the (B, n) newest node.  Shifting takes in the new head,
-    then updates every registered integral term.
+    Logical node j (0 = oldest, N = head) after s shifts is grid index
+    s - N + j of ``hist``, on the (N+1, n) initial data.  ``head`` is the
+    (B, n) newest node.  Shifting takes in the new head, then updates every
+    registered integral term.
 
-    The simulated states Y_1, ..., Y_{K-1} are stored only if a coefficient
-    reads them: the window starts with no state ring, and until it has one
-    a shift keeps the new head as it is, without a copy (the driver builds
-    each step's states afresh).  The first read that could later need a
-    stored state, a node off the head (``lerp_eval``) or a full quadrature
-    (``logical_values``), makes the ring: min(N+1, K) rows, shape
-    (rows, B, n), Y_i in slot (i - 1) mod rows, so one history node of
-    every replica is one contiguous slot and no replica holds a copy of the
-    initial data.  After at most one shift every simulated state is the
-    head, which the new ring takes in; a first such read after the second
-    shift raises ``ConfigurationError``, since states it needs were never
-    stored.
+    Until ``hist`` has a ring, a shift keeps the new head as it is, without
+    a copy (the driver builds each step's states afresh).  The first read
+    that could later need a stored state, a node off the head
+    (``lerp_eval``) or a full quadrature (``weighted_integral``), makes the
+    ring.  Before the second shift every simulated state is the head, which
+    the new ring takes in; a first such read later raises
+    ``ConfigurationError``, since states it needs were never stored.
 
     Integral terms are registered by the identity of their (weight,
-    transform) pair on a read before the first shift.  A pair first read
-    after that is evaluated by one full quadrature per read and is not
-    registered, so the registry cannot grow during a run.
+    transform) pair, for a constant or boxcar weight read before the first
+    shift.  Every other read is one full quadrature, so the registry cannot
+    grow during a run.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float, run_steps: int):
-        self.initial = initial
+        self.hist = _History(initial)
         self.n_steps = initial.shape[0] - 1
         self.run_steps = run_steps
         self.batch = batch
         self.tau = tau
         self.step = tau / self.n_steps
-        self._buf = None
         self.head = np.broadcast_to(initial[-1], (batch, initial.shape[1]))
         self.shifts = 0
         self._terms = {}
 
-    def _ring(self, read: str) -> np.ndarray:
-        """The state ring, made on the first read that could later need a stored state."""
-        if self._buf is None:
+    def _store_states(self, read: str) -> None:
+        """Make the state ring on the first read that could later need a stored state."""
+        if self.hist.ring is None:
             if self.shifts > 1:
                 raise ConfigurationError(
                     f"a coefficient first read {read} at step {self.shifts + 1}; the simulated "
                     f"states it needs were not stored (reads of history nodes must begin "
                     f"within the first two steps)"
                 )
-            self._buf = np.empty((min(self.n_steps + 1, self.run_steps), self.batch, self.initial.shape[1]))
+            self.hist.make_ring(self.batch, self.run_steps)
             if self.shifts:
-                self._buf[0] = self.head
-                self.head = self._buf[0]
-        return self._buf
+                self.head = self.hist.put(1, self.head)
 
     def _node(self, j: int) -> np.ndarray:
         if j == self.n_steps:
             return self.head
-        buf = self._ring("a history node off the head")
-        i = self.shifts - self.n_steps + j
-        if i <= 0:
-            return np.broadcast_to(self.initial[self.n_steps + i], self.head.shape)
-        return buf[(i - 1) % len(buf)]
-
-    def logical_values(self) -> np.ndarray:
-        buf = self._ring("a full quadrature of the history")
-        n, s = self.n_steps, self.shifts
-        old = max(0, n + 1 - s)  # the oldest nodes, still initial data
-        out = np.empty((n + 1,) + self.head.shape)
-        out[:old] = self.initial[n + 1 - old :, None]
-        out[old:] = buf[(np.arange(s - n + old, s + 1) - 1) % len(buf)]
-        return out
+        self._store_states("a history node off the head")
+        return np.broadcast_to(self.hist[self.shifts - self.n_steps + j], self.head.shape)
 
     def lerp_eval(self, theta: float) -> np.ndarray:
         return _lerp(self, theta, self._node)
@@ -288,19 +286,18 @@ class _SlidingWindow:
         term = self._terms.get(key)
         if term is not None:
             return term.value
-        if self.shifts:
-            return _quadrature(self, node_weights(weight, self.tau, self.n_steps), transform)
-        term = self._terms[key] = _IntegralTerm(weight, transform, self)
+        m = None if self.shifts else _IntegralTerm.sliding_node(weight, self)
+        if m is None:
+            # a full trapezoid over every replica's window
+            self._store_states("a full quadrature of the history")
+            h = _apply_transform(transform, self.hist.window_at(self.shifts))
+            return _trapezoid_sum(h * node_weights(weight, self.tau, self.n_steps)[:, None], self.step, axis=0)
+        term = self._terms[key] = _IntegralTerm(weight, transform, m, self)
         return term.value
 
     def shift(self, new_states: np.ndarray) -> None:
-        if self._buf is None:
-            self.head = new_states
-        else:
-            slot = self.shifts % len(self._buf)
-            self._buf[slot] = new_states
-            self.head = self._buf[slot]
         self.shifts += 1
+        self.head = new_states if self.hist.ring is None else self.hist.put(self.shifts, new_states)
         resync = self.shifts % self.n_steps == 0
         for term in self._terms.values():
             term.shift(self, resync)
@@ -522,10 +519,8 @@ def segment_at(record: PathRecord, k: int) -> Segment:
     n_hist = record.n_history
     if not 0 <= k < record.states.shape[0]:
         raise ValueError(f"grid index {k} outside the recorded path")
-    nodes = np.empty((n_hist + 1, record.states.shape[1]))
-    for j in range(n_hist + 1):
-        i = k + j - n_hist
-        nodes[j] = record.states[i] if i >= 0 else record.initial_nodes[n_hist + i]
+    # grid indices k - N..k: initial nodes up to index -1, then recorded states from index 0
+    nodes = np.concatenate([record.initial_nodes[k:n_hist], record.states[max(0, k - n_hist) : k + 1]])
     return Segment(nodes, n_hist * record.step)
 
 

@@ -113,13 +113,13 @@ class TestStrongError:
             strong_error(m, [2.0**-5], 2.0**-8, 1.0, 10, 0)
 
     def test_chunking_does_not_change_estimates(self, monkeypatch):
-        # the reference level has N = 8 history steps: 9 ring entries per replica
+        # the reference level has N = 8 history steps and K = 256: 9 ring entries per replica
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
         monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 120)
         t_one = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
         monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 32)
-        assert len(list(experiments._batches(120, 8, 1))) == 4
+        assert len(list(experiments._batches(120, 8, 1, 256))) == 4
         t_many = strong_error(m, steps, 2.0**-8, 1.0, 120, 3)
         assert t_one.rms_errors == pytest.approx(t_many.rms_errors, rel=1e-12)
 
@@ -128,7 +128,7 @@ class TestStrongError:
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         steps = [2.0**-5, 2.0**-6]
         monkeypatch.setattr(experiments, "RING_ENTRIES", 9 * 50)
-        assert len(list(experiments._batches(150, 8, 1))) == 3
+        assert len(list(experiments._batches(150, 8, 1, 256))) == 3
         t1 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
         t2 = strong_error(m, steps, 2.0**-8, 1.0, 150, 3)
         assert np.array_equal(t1.rms_errors, t2.rms_errors)
@@ -175,20 +175,21 @@ class TestStrongError:
         [(14, 0.25), (10, 2.0)],
         ids=["criterion1_shape", "long_horizon"],
     )
-    def test_memory_bounded_by_rings_and_one_fine_buffer(self, ref_exponent, horizon):
-        # criterion 1's shape at T = 1/4 (history N = 8192 > K = 4096 steps), where
-        # the rings dominate, and a run with K = 2048 > N = 512, where the fine
-        # increments do
+    def test_memory_bounded_by_integral_ring_and_sweep_block(self, ref_exponent, horizon):
+        # criterion 1's shape at T = 1/4 (history N = 8192 > K = 4096 steps) and a
+        # run with K = 2048 > N = 512.  example1 reads its history only through
+        # one running integral, which keeps an (N+1, B) ring only when K > N, and
+        # the sweep holds one block of at most SWEEP_BYTES; 2 MB for the coarse
+        # levels and the interpreter.  A warm-up call first, so that the measured
+        # call pays for no first-use allocations
         m = builtin_example1()
         step_ref = 2.0**-ref_exponent
         steps = [2.0**-j for j in (5, 6, 7, 8, 10) if j < ref_exponent]
         n_hist, n_ref, samples = round(m.tau / step_ref), round(horizon / step_ref), 256
-        batch = max(count for _, count in experiments._batches(samples, n_hist, 1))
-        # the window ring and the integral ring, (N+1, B) floats each, plus the
-        # (K, B) fine increments and 2 MB for the interpreter; a per-replica
-        # copy of the initial integrals or a second copy of the fine
-        # increments does not fit
-        expected = 8 * batch * (2 * (n_hist + 1) + n_ref) + 2e6
+        batch = max(count for _, count in experiments._batches(samples, n_hist, 1, n_ref))
+        ring = 8 * batch * (n_hist + 1) if n_ref > n_hist else 0
+        expected = ring + brownian.SWEEP_BYTES + 2e6
+        strong_error(m, steps, step_ref, horizon, samples, 1)
         tracemalloc.start()
         try:
             strong_error(m, steps, step_ref, horizon, samples, 1)
@@ -320,13 +321,13 @@ class TestMomentEstimate:
 
     def test_replica_grouping_invariance(self, monkeypatch):
         # the estimator is a mean over replicas: regrouping only reassociates sums;
-        # N = 1 history step, so 2 ring entries per replica
+        # N = 1 history step and K = 32, so 2 ring entries per replica
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         cfg = SchemeConfig(2.0**-5, 1.0)
         monkeypatch.setattr(experiments, "RING_ENTRIES", 2 * 120)
         a = moment_estimate(m, cfg, 2.0, 120, 5)
         monkeypatch.setattr(experiments, "RING_ENTRIES", 2 * 40)
-        assert len(list(experiments._batches(120, 1, 1))) == 3
+        assert len(list(experiments._batches(120, 1, 1, 32))) == 3
         b = moment_estimate(m, cfg, 2.0, 120, 5)
         assert a.moments == pytest.approx(b.moments, rel=1e-12)
         assert a.running_max == pytest.approx(b.running_max, rel=1e-12)

@@ -36,6 +36,7 @@ from sfde_tem.segment import (
     constant_segment,
     constant_weight,
     lerp_eval,
+    shift_append,
 )
 from test_segment import SCALAR_ONLY, SCALAR_ONLY_IDS
 
@@ -191,13 +192,19 @@ class TestSimulate:
         assert r_tem.truncation_hits == 0
         assert np.array_equal(r_tem.states, r_em.states)
 
-    def test_head_matches_segment(self):
+    def test_segment_at_matches_replay(self):
+        # N = 8, K = 16: segments before, at and past the history length
         m = builtin_example2()
         cfg = SchemeConfig(step=2.0**-4, horizon=1.0)
         grid = generate(23, 1, 2, 2.0**-4, 1.0)
         rec = simulate(m, cfg, grid)
-        for k in (0, 3, rec.states.shape[0] - 1):
+        n, k_last = rec.n_history, rec.states.shape[0] - 1
+        replay = [init_segment(m, cfg)]
+        for k in range(1, k_last + 1):
+            replay.append(shift_append(replay[-1], rec.states[k]))
+        for k in (0, 3, n, n + 1, k_last):
             seg = segment_at(rec, k)
+            assert np.array_equal(seg.values, replay[k].values)
             assert np.array_equal(lerp_eval(seg, 0.0), rec.states[k])
 
     def test_mis_shaped_drift_rejected(self):
@@ -401,11 +408,14 @@ _STORAGE_BOX = boxcar_weight(-(_STORAGE_N - _STORAGE_M) * 2.0**-5, 0.0)
 
 class TestHistoryStorageBoundary:
     # N = 16 history steps.  A fast integral keeps a ring only if a simulated
-    # state leaves its support (K > N - m), and the window's ring has
-    # min(N+1, K) rows: K runs across both boundaries, for a constant weight
-    # (m = 0) and a boxcar on node m = 5
+    # state leaves its support (K > N - m), and a ring has min(N+1, K) rows:
+    # K runs across both boundaries, for a constant weight (m = 0), a boxcar
+    # on node m = 5, and the ramp, read by one full quadrature per read
+    # through the window's state ring
     @pytest.mark.parametrize(
-        "weight, m_node", [(_FLAT, 0), (_STORAGE_BOX, _STORAGE_M)], ids=["constant", "boxcar"]
+        "weight, m_node",
+        [(_FLAT, 0), (_STORAGE_BOX, _STORAGE_M), (_RAMP, 0)],
+        ids=["constant", "boxcar", "ramp_weight"],
     )
     @pytest.mark.parametrize("k_case", ["1", "2", "N-m", "N-m+1", "N-m+2", "N+1", "2N+1"])
     def test_batch_matches_single_runs_and_replay(self, weight, m_node, k_case):
@@ -437,6 +447,39 @@ class TestHistoryStorageBoundary:
             for k in range(n_steps):
                 seg = seg.shift_append(tem_step(m, seg, inc[r, k], radius)[0])
             assert np.allclose(single.states[-1], seg.head, atol=1e-10)
+
+    def test_integral_ring_holds_only_simulated_states(self):
+        # a boxcar on node m = N/2 with N = 1024, over K = N - m + 1 steps: one
+        # simulated state leaves its support, so the integral keeps a ring of
+        # min(N+1, K) rows of transformed simulated states and no per-replica
+        # copy of the initial path.  One (N+1, B) ring plus 0.5 MB does not
+        # fit both such a ring and the 1 MiB stream block
+        n, count = 1024, 256
+        step = 0.5 / n
+        box = boxcar_weight(-(n // 2) * step, 0.0)
+        base = builtin_example1()
+
+        def drift(seg):
+            h = seg.head[..., 0]
+            return (h - h * h * h + np.asarray(seg.weighted_integral(box, _first)))[..., None]
+
+        m = dataclasses.replace(base, drift=drift)
+        n_steps = n - n // 2 + 1
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        assert resolve_grid(m, cfg)[1:] == (n, n_steps)
+
+        def run():
+            return _run_batch(m, cfg, IncrementStream(3, 0, count, 1, step, n_steps)).terminal
+
+        warm = run()
+        tracemalloc.start()
+        try:
+            terminal = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(terminal, warm)
+        assert peak < 8 * count * (n + 1) + 0.5e6
 
 
 _LAG_N = 16
