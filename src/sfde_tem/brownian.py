@@ -10,14 +10,28 @@ reassociation) whenever the factors are powers of two.
 ``IncrementStream`` hands a batch of replicas' increments to the driver
 time-major, one reused block of at most ``STREAM_BYTES`` at a time, with
 the same draws as ``sample_increments``: a replica's generator gives the
-same normals however its draws are split into blocks.  A
-``_CoarseningStream`` (blocks of at most ``SWEEP_BYTES``) also hands each
-used block, summed in place level by level, to coarser consumers of the
-same paths, so a strong-error sweep holds one block and no whole path.
+same normals however its draws are split into blocks.  The block is stored
+replica-major and handed over as a transposed view, so each replica fills
+its own rows with one ``standard_normal(out=...)`` call per block, with no
+temporary.  A ``_CoarseningStream`` (blocks of at most ``SWEEP_BYTES``)
+also hands each used block, summed in place level by level, to coarser
+consumers of the same paths, so a strong-error sweep holds one block and
+no whole path.
+
+Building a Philox generator costs several times as much as re-keying one
+(its constructor first draws OS entropy that the key then replaces), so a
+stream does not build one per replica and call: it takes idle generators
+from a process-wide pool, resets each to the fresh state of its (seed,
+replica) key through the ``Philox.state`` setter, and gives them back when
+its ``blocks()`` finishes or is closed.  The pool keeps at most
+``_IDLE_MAX`` generators, so memory held between calls stays bounded.  Two
+live streams never share a generator, and a re-keyed generator draws
+exactly what a new one would.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +85,8 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     )
 
 
-def _bit_generator(seed: int, replica: int) -> np.random.Philox:
-    return np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
-
-
 def _generator(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(_bit_generator(seed, replica))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
 
 
 def sample_increments(seed: int, replica: int, dim_noise: int, step: float, count: int) -> np.ndarray:
@@ -84,12 +94,48 @@ def sample_increments(seed: int, replica: int, dim_noise: int, step: float, coun
     return _generator(seed, replica).standard_normal((count, dim_noise)) * np.sqrt(step)
 
 
+_IDLE_MAX = 2**12  # about 2.5 MB of idle generators
+_IDLE_GENERATORS = []
+_IDLE_LOCK = threading.Lock()
+
+
+def _take_generators(seed: int, first: int, count: int) -> list:
+    """Generators of replicas first..first+count-1, each drawing what ``_generator`` would.
+
+    Idle generators from the pool are re-keyed; new ones are built only
+    when the pool runs short.  Hand them back with ``_give_generators``.
+    """
+    with _IDLE_LOCK:
+        cut = max(0, len(_IDLE_GENERATORS) - count)
+        idle = _IDLE_GENERATORS[cut:]
+        del _IDLE_GENERATORS[cut:]
+    key = np.array([seed, first], dtype=np.uint64)
+    # the state of a new Philox(key=key): zero counter, empty output buffer
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, gen in enumerate(idle):
+        key[1] = first + i
+        gen.bit_generator.state = state
+    return idle + [_generator(seed, first + i) for i in range(len(idle), count)]
+
+
+def _give_generators(generators: list) -> None:
+    with _IDLE_LOCK:
+        _IDLE_GENERATORS.extend(generators[: max(0, _IDLE_MAX - len(_IDLE_GENERATORS))])
+
+
 class IncrementStream:
-    """Increments of replicas first..first+count-1, drawn time-major in blocks.
+    """Increments of replicas first..first+count-1, handed over time-major in blocks.
 
     ``blocks()`` yields ``n_steps`` rows of shape (count, dim_noise) as
-    (block, count, dim_noise) views of one reused buffer (the last block
-    may be shorter), each valid until the next is requested; row k, column
+    (block, count, dim_noise) views of one reused replica-major buffer (the
+    last block may be shorter), each valid until the next is requested; row k, column
     i equals ``sample_increments(seed, first + i, dim_noise, step,
     n_steps)[k]`` bit for bit.  ``block`` is the most steps whose rows fit
     in ``STREAM_BYTES`` (at least one, at most ``n_steps``), read when the
@@ -116,17 +162,18 @@ class IncrementStream:
 
     def blocks(self):
         count, n_steps, dim = self.shape
-        # the state lives in the bit generator: wrapping it anew for each block
-        # is cheap, and holding a Generator per replica would add 224 bytes each
-        bits = [_bit_generator(self.seed, self.first + i) for i in range(count)]
         scale = np.sqrt(self.step)
-        buf = np.empty((self.block, count, dim))
-        for start in range(0, n_steps, self.block):
-            block = buf[: min(self.block, n_steps - start)]
-            for i, bit in enumerate(bits):
-                block[:, i] = np.random.Generator(bit).standard_normal((len(block), dim))
-            block *= scale
-            yield block
+        buf = np.empty((count, self.block, dim))
+        generators = _take_generators(self.seed, self.first, count)
+        try:
+            for start in range(0, n_steps, self.block):
+                rows = buf[:, : min(self.block, n_steps - start)]
+                for gen, out in zip(generators, rows):
+                    gen.standard_normal(out=out)
+                rows *= scale
+                yield rows.transpose(1, 0, 2)
+        finally:
+            _give_generators(generators)
 
 
 class _CoarseningStream(IncrementStream):

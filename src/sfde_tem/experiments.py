@@ -269,8 +269,8 @@ def stability_decay(
     terminal_norms = np.empty(samples)
 
     def observe(k, states, pre, alive):
-        sums_p[k] += float(np.sum(_sum_last_axis(states * states) ** (0.5 * p_exponent)))
-        sums_state[k] += states.sum(axis=0)
+        sums_p[k] += float((_sum_last_axis(states * states) ** (0.5 * p_exponent)).sum())
+        sums_state[k] += _column_sums(states)
 
     for start, count in _batches(samples, n_hist, model.dim_state, n_steps):
         inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
@@ -300,6 +300,19 @@ def stability_decay(
         p_exponent=p_exponent,
         samples=samples,
     )
+
+
+def _column_sums(states: np.ndarray) -> np.ndarray:
+    """``states.sum(axis=0)`` of (B, n) states, bit for bit.
+
+    numpy sums a C-order array of n >= 2 columns down axis 0 one row after
+    another, starting from 0.0, but loops over the short rows to do it; one
+    accumulation gives the same bytes in one pass.  Other layouts, and a
+    single column, are summed pairwise, so they keep ``sum``.
+    """
+    if states.ndim == 2 and len(states) and states.shape[1] > 1 and states.flags.c_contiguous:
+        return 0.0 + np.add.accumulate(states, axis=0)[-1]
+    return states.sum(axis=0)
 
 
 def admissible_nu(b1: float, b2: float, b3: float, b4: float, p_exponent: float, tau: float) -> float:

@@ -152,7 +152,9 @@ def clip_to_ball(x: np.ndarray, radius: float):
 
     Repeats the rescale until the recomputed norm is within the radius, so
     outputs pass unchanged through a second clip (exact idempotence even
-    when rounding leaves the first rescale an ulp outside the ball).
+    when rounding leaves the first rescale an ulp outside the ball).  A
+    finite vector whose squared norm overflows is divided by max|x| before
+    the rescale, so it lands on the sphere, not on the origin.
     """
     nrm = np.sqrt(_sum_last_axis(x * x))
     over = nrm > radius
@@ -160,6 +162,12 @@ def clip_to_ball(x: np.ndarray, radius: float):
         return x, over
     clipped = over
     out = x
+    big = np.abs(x).max(axis=-1)
+    overflow = np.isinf(nrm) & np.isfinite(big)
+    if overflow.any():
+        # divide those rows by max|x| first: their norms are then finite
+        out = x / np.where(overflow, big, 1.0)[..., None]
+        nrm = np.where(overflow, np.sqrt(_sum_last_axis(out * out)), nrm)
     while np.any(over):
         scale = radius / np.where(over, nrm, 1.0)
         out = np.where(over[..., None], out * scale[..., None], out)
@@ -306,11 +314,17 @@ def _ex2_first_cubed(v):
 
 
 def _ex2_drift(seg):
-    h1 = seg.head[..., 0]
-    h2 = seg.head[..., 1]
-    i1 = np.asarray(seg.weighted_integral(_EX2_BOX, _ex2_second))
-    i2 = np.asarray(seg.weighted_integral(_EX2_LEBESGUE, _ex2_first_cubed))
-    return np.stack([-2.0 * h1 - 3.0 * (h1 * h1 * h1) + i1, -2.0 * h2 - 2.0 * (h2 * h2 * h2) + i2], axis=-1)
+    # -2 h1 - 3 h1^3 + i1 and -2 h2 - 2 h2^3 + i2, the terms both coordinates
+    # share taken over the whole head at once
+    head = seg.head
+    cubes = head * head * head
+    cubes[..., 0] *= 3.0
+    cubes[..., 1] *= 2.0
+    out = -2.0 * head
+    out -= cubes
+    out[..., 0] += np.asarray(seg.weighted_integral(_EX2_BOX, _ex2_second))
+    out[..., 1] += np.asarray(seg.weighted_integral(_EX2_LEBESGUE, _ex2_first_cubed))
+    return out
 
 
 def _ex2_diffusion(seg):

@@ -25,14 +25,17 @@ weight's support.  Every other integral read is a full quadrature.
 ``_Driver`` steps a batch over blocks of increment rows; ``_run_batch``
 runs one over a whole array or stream.  A step costs a fixed handful of
 whole-batch array operations, so the driver keeps per-step overhead down:
-one finiteness check per step and column sums over short trailing axes
-(``segment._sum_last_axis``).  The builtin coefficients it calls write
-cubes as products (``h * h * h``), which numpy evaluates far faster than
-``h**3``.
+no numpy loop over a short trailing axis (the noise is contracted and
+short axes are summed one column at a time, ``segment._sum_last_axis``),
+and a step whose states all lie inside the ball skips the clip and its
+finiteness check.  The builtin coefficients it calls write cubes as
+products (``h * h * h``), which numpy evaluates far faster than ``h**3``.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,8 +110,19 @@ class PathRecord:
 
 
 def _apply_noise(g: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Contract the diffusion matrix (..., n, d) with increments (..., d)."""
-    return _sum_last_axis(g * db[..., None, :])
+    """Contract the diffusion matrix (..., n, d) with increments (..., d).
+
+    The bytes of ``_sum_last_axis(g * db[..., None, :])``, computed one noise
+    column at a time for d < 8: numpy would form the (..., n, d) product
+    looping over its short last axis.
+    """
+    d = g.shape[-1]
+    if not 0 < d < 8:
+        return _sum_last_axis(g * db[..., None, :])
+    out = 0.0 + g[..., 0] * db[..., None, 0]
+    for j in range(1, d):
+        out += g[..., j] * db[..., None, j]
+    return out
 
 
 class _History:
@@ -245,7 +259,8 @@ class _SlidingWindow:
     Integral terms are registered by the identity of their (weight,
     transform) pair, for a constant or boxcar weight read before the first
     shift.  Every other read is one full quadrature, so the registry cannot
-    grow during a run.
+    grow during a run; the node samples of a weight such a read first meets
+    before the first shift are kept for the run, by the weight's identity.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float, run_steps: int):
@@ -258,6 +273,7 @@ class _SlidingWindow:
         self.head = np.broadcast_to(initial[-1], (batch, initial.shape[1]))
         self.shifts = 0
         self._terms = {}
+        self._samples = {}
 
     def _store_states(self, read: str) -> None:
         """Make the state ring on the first read that could later need a stored state."""
@@ -291,9 +307,19 @@ class _SlidingWindow:
             # a full trapezoid over every replica's window
             self._store_states("a full quadrature of the history")
             h = _apply_transform(transform, self.hist.window_at(self.shifts))
-            return _trapezoid_sum(h * node_weights(weight, self.tau, self.n_steps)[:, None], self.step, axis=0)
+            return _trapezoid_sum(h * self._node_weights(weight)[:, None], self.step, axis=0)
         term = self._terms[key] = _IntegralTerm(weight, transform, m, self)
         return term.value
+
+    def _node_weights(self, weight: WeightFunction) -> np.ndarray:
+        """``node_weights`` of a weight, sampled once for the run if first read before the first shift."""
+        known = self._samples.get(id(weight))
+        if known is not None:
+            return known[1]
+        samples = node_weights(weight, self.tau, self.n_steps)
+        if not self.shifts:
+            self._samples[id(weight)] = (weight, samples)  # holding the weight keeps its id
+        return samples
 
     def shift(self, new_states: np.ndarray) -> None:
         self.shifts += 1
@@ -369,6 +395,12 @@ class _Driver:
         self.per_step = per_step
         self.replica_offset = replica_offset
         self.radius = truncation_radius(model.gamma, delta)
+        # a step whose states all have norms within ``limit`` needs no clip and
+        # no finiteness check (an infinite radius clips nothing, but a
+        # non-finite state must still raise); one whose entries all lie within
+        # ``inside`` has such norms, by a margin far wider than their rounding
+        self.limit = min(self.radius, sys.float_info.max)
+        self.inside = 0.999 * self.limit / math.sqrt(model.dim_state)
         self.truncated = config.variant == TRUNCATED_EM
         self.initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
         self.window = _SlidingWindow(self.initial_nodes, batch, model.tau, n_steps)
@@ -377,13 +409,16 @@ class _Driver:
         self.div_step = np.full(batch, -1, dtype=np.int64)
         self.k = 0
         self.new = None
+        # step k writes its pre-clip states into buffer k % 2, never the head's
+        self.pre = np.empty((2, batch, model.dim_state))
         if per_step is not None:
             per_step(0, self.window.head, np.broadcast_to(raw_nodes[-1], self.window.head.shape), self.alive)
 
     def advance(self, rows) -> None:
         model, window, per_step = self.model, self.window, self.per_step
         delta, radius, truncated, n_steps = self.delta, self.radius, self.truncated, self.n_steps
-        hits, alive, div_step, k, new = self.hits, self.alive, self.div_step, self.k, self.new
+        limit, inside = self.limit, self.inside
+        hits, alive, div_step, k, new, pres = self.hits, self.alive, self.div_step, self.k, self.new, self.pre
         g_shape = (window.batch, model.dim_state, model.dim_noise)
         with np.errstate(over="ignore", invalid="ignore"):
             for db in rows:
@@ -394,8 +429,16 @@ class _Driver:
                     raise ConfigurationError(f"drift returned shape {f.shape}, expected {head.shape}")
                 if g.shape != g_shape:
                     raise ConfigurationError(f"diffusion returned shape {g.shape}, expected {g_shape}")
-                pre = head + f * delta + _apply_noise(g, db)
-                if truncated:
+                # head + f * delta + noise, in that order
+                pre = np.multiply(f, delta, out=pres[k % 2])
+                pre += head
+                pre += _apply_noise(g, db)
+                if truncated and (
+                    np.abs(pre).max(initial=0.0) <= inside
+                    or math.sqrt(_sum_last_axis(pre * pre).max(initial=0.0)) <= limit
+                ):
+                    new = pre  # the clip would return it unchanged
+                elif truncated:
                     if not np.isfinite(pre).all():
                         bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
                         raise NumericalError(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sfde_tem
 from sfde_tem import brownian, experiments
@@ -22,6 +23,7 @@ from sfde_tem.experiments import (
 from sfde_tem.model import builtin_example1, builtin_example2, builtin_gbm_oracle, gbm_closed_form
 from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _run_batch
 from sfde_tem.segment import Segment, constant_segment
+from test_segment import _SPECIAL
 
 
 def synthetic_table(steps, errors):
@@ -357,6 +359,38 @@ class TestStabilityDecay:
         m = builtin_gbm_oracle(-1.0, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
             stability_decay(m, SchemeConfig(2.0**-5, 1.0), 2.0, 100, 0, tail_fraction=0.0)
+
+
+class TestColumnSums:
+    @given(st.integers(1, 40), st.integers(1, 4), st.sampled_from("CF"), st.data())
+    def test_byte_identical_to_numpy_sum_down_replicas(self, batch, n, order, data):
+        # the stability observer's per-coordinate state sums against the
+        # states.sum(axis=0) they replace, in either memory layout
+        entries = st.one_of(_SPECIAL, st.floats(-1e300, 1e300))
+        values = data.draw(st.lists(entries, min_size=batch * n, max_size=batch * n))
+        states = np.asarray(np.array(values).reshape(batch, n), order=order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = states.sum(axis=0)
+            got = experiments._column_sums(states)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    def test_byte_identical_on_driver_states(self):
+        # 1000 replicas of example2 after 40 steps, a C-order (B, 2) array of
+        # the sizes criterion 5 sums, and the broadcast initial head at k = 0
+        m = builtin_example2()
+        seen = []
+
+        def observe(k, states, pre, alive):
+            if k in (0, 40):
+                seen.append((states.sum(axis=0), experiments._column_sums(states)))
+
+        cfg = SchemeConfig(2.0**-6, 40 * 2.0**-6)
+        _run_batch(m, cfg, brownian.IncrementStream(3, 0, 1000, 2, 2.0**-6, 40), per_step=observe)
+        assert len(seen) == 2
+        for expect, got in seen:
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestAdmissibleNu:

@@ -10,6 +10,7 @@ from sfde_tem.model import (
     builtin_example1,
     builtin_example2,
     builtin_gbm_oracle,
+    clip_to_ball,
     gamma_inverse_numeric,
     get_model,
     rate_lambda,
@@ -81,6 +82,28 @@ class TestTruncate:
         out = truncate(x, 5.0)
         assert x[0] * out[1] - x[1] * out[0] == pytest.approx(0.0, abs=1e-12)
         assert np.dot(x, out) > 0
+
+    @pytest.mark.parametrize(
+        "x, radius, expect",
+        [
+            ([1e300], 5.0, [5.0]),
+            ([-1e300], 5.0, [-5.0]),
+            ([3e200, 4e200], 10.0, [6.0, 8.0]),
+            ([1.7e308, -1.7e308], 2.0, [math.sqrt(2.0), -math.sqrt(2.0)]),
+        ],
+        ids=["scalar", "negative_scalar", "pair", "near_max_float"],
+    )
+    def test_overflowing_squared_norm_lands_on_sphere(self, x, radius, expect):
+        # the squares of these finite vectors overflow to inf, which once
+        # scaled them by radius / inf = 0 onto the origin
+        with np.errstate(over="ignore"):
+            out = truncate(np.array(x), radius)
+            batch, over = clip_to_ball(np.array([x, [0.5] + [0.0] * (len(x) - 1)]), radius)
+        assert out == pytest.approx(expect, rel=1e-12)
+        assert np.linalg.norm(out) <= radius
+        assert np.array_equal(batch[0], out)
+        assert over.tolist() == [True, False]
+        assert batch[1].tolist() == [0.5] + [0.0] * (len(x) - 1)
 
 
 class TestGammaInverseNumeric:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfde_tem import brownian
 from sfde_tem import model as model_module
+from sfde_tem import scheme
 from sfde_tem.brownian import BrownianGrid, IncrementStream, coarsen, generate, sample_increments
 from sfde_tem.errors import ConfigurationError, NumericalError, UnsupportedPointError
 from sfde_tem.model import (
@@ -21,6 +22,7 @@ from sfde_tem.scheme import (
     CLASSIC_EM,
     TRUNCATED_EM,
     SchemeConfig,
+    _apply_noise,
     _run_batch,
     continuous_extension,
     init_segment,
@@ -35,10 +37,12 @@ from sfde_tem.segment import (
     boxcar_weight,
     constant_segment,
     constant_weight,
+    _sum_last_axis,
     lerp_eval,
+    node_weights,
     shift_append,
 )
-from test_segment import SCALAR_ONLY, SCALAR_ONLY_IDS
+from test_segment import _SPECIAL, SCALAR_ONLY, SCALAR_ONLY_IDS
 
 # 1 + theta on [-1/2, 0]: a weight with no recognised structure, so the
 # engine recomputes its integral by full quadrature after every shift
@@ -448,6 +452,37 @@ class TestHistoryStorageBoundary:
                 seg = seg.shift_append(tem_step(m, seg, inc[r, k], radius)[0])
             assert np.allclose(single.states[-1], seg.head, atol=1e-10)
 
+    @pytest.mark.parametrize("k_case", ["1", "2", "N+1", "2N+1"])
+    def test_structureless_weight_sampled_once_per_run(self, monkeypatch, k_case):
+        # the ramp is read by full quadrature at every step, by drift and
+        # diffusion; its N+1 node samples are taken once for the run, and the
+        # terminals equal those of a window that samples it on every read
+        n = _STORAGE_N
+        n_steps = {"1": 1, "2": 2, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
+        evals = []
+        ramp = WeightFunction(eval=lambda theta: evals.append(theta) or 1.0 + theta)
+
+        def drift(seg):
+            h = seg.head[..., 0]
+            return (h - h * h * h + np.asarray(seg.weighted_integral(ramp, _first)))[..., None]
+
+        def diffusion(seg):
+            return 0.5 * np.asarray(seg.weighted_integral(ramp, _square))[..., None, None]
+
+        step = 2.0**-5
+        m = dataclasses.replace(builtin_example1(), drift=drift, diffusion=diffusion)
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(23, r, 1, step, n_steps) for r in range(3)])
+        res = _run_batch(m, cfg, inc)
+        assert len(evals) == n + 1
+        monkeypatch.setattr(
+            scheme._SlidingWindow, "_node_weights", lambda window, w: node_weights(w, window.tau, window.n_steps)
+        )
+        again = _run_batch(m, cfg, inc)
+        assert len(evals) == (n + 1) * (1 + 2 * n_steps)
+        assert res.terminal.tobytes() == again.terminal.tobytes()
+        assert np.array_equal(res.truncation_hits, again.truncation_hits)
+
     def test_integral_ring_holds_only_simulated_states(self):
         # a boxcar on node m = N/2 with N = 1024, over K = N - m + 1 steps: one
         # simulated state leaves its support, so the integral keeps a ring of
@@ -739,6 +774,30 @@ class TestDriverErrors:
         assert math.isfinite(context["head_norm"])
         assert context["radius"] == truncation_radius(m.gamma, 2.0**-4)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_drift_raises_under_an_infinite_radius(self, bad):
+        # a radius of inf clips nothing, and a step with every entry inside
+        # the ball skips the clip; a non-finite state must still raise
+        base = builtin_example1()
+        calls = []
+
+        def drift(seg):
+            f = base.drift(seg)
+            calls.append(None)
+            if len(calls) == 3:
+                f[1] = bad
+            return f
+
+        gamma = dataclasses.replace(base.gamma, gamma_inv=lambda y: math.inf)
+        m = dataclasses.replace(base, drift=drift, gamma=gamma)
+        cfg = SchemeConfig(step=2.0**-4, horizon=1.0)
+        inc = np.stack([sample_increments(3, r, 1, 2.0**-4, 16) for r in range(4)])
+        with pytest.raises(NumericalError) as info:
+            _run_batch(m, cfg, inc)
+        assert info.value.context["replica"] == 1
+        assert info.value.context["step"] == 3
+        assert info.value.context["radius"] == math.inf
+
     def test_wrong_shape_transform_names_it(self):
         def first_column(v):
             return v[..., 0:1]
@@ -792,3 +851,31 @@ class TestDriverErrors:
         assert info.value.context["theta"] == -0.125
         with pytest.raises(NumericalError, match=r"theta=-0\.125\)"):
             _run_batch(m, dataclasses.replace(cfg, variant=CLASSIC_EM), sample_increments(0, 0, 1, 2.0**-3, 8)[None])
+
+
+class TestApplyNoise:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_byte_identical_to_broadcast_contraction_up_to_nan_payload(self, n, d, batch, data):
+        # the column-by-column contraction against the (..., n, d) product it
+        # replaces, summed by _sum_last_axis
+        entries = st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+        g = np.array(data.draw(st.lists(entries, min_size=batch * n * d, max_size=batch * n * d)))
+        db = np.array(data.draw(st.lists(entries, min_size=batch * d, max_size=batch * d)))
+        g, db = g.reshape(batch, n, d), db.reshape(batch, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = _sum_last_axis(g * db[..., None, :])
+            got = _apply_noise(g, db)
+        assert got.shape == expect.shape == (batch, n)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    def test_single_replica_and_strided_increments(self):
+        # one (n, d) matrix with a (d,) increment, and a batch whose increments
+        # are a column of a replica-major stream block
+        g = np.arange(6.0).reshape(2, 3) - 2.5
+        db = np.array([0.5, -0.0, 2.0])
+        assert _apply_noise(g, db).tobytes() == _sum_last_axis(g * db[None, :]).tobytes()
+        gb = np.linspace(-1.0, 1.0, 4 * 2 * 2).reshape(4, 2, 2)
+        block = np.linspace(-3.0, 3.0, 4 * 5 * 2).reshape(4, 5, 2).transpose(1, 0, 2)
+        assert _apply_noise(gb, block[3]).tobytes() == _sum_last_axis(gb * block[3][..., None, :]).tobytes()
