@@ -18,20 +18,17 @@ also hands each used block, summed in place level by level, to coarser
 consumers of the same paths, so a strong-error sweep holds one block and
 no whole path.
 
-Building a Philox generator costs several times as much as re-keying one
-(its constructor first draws OS entropy that the key then replaces), so a
-stream does not build one per replica and call: it takes idle generators
-from a process-wide pool, resets each to the fresh state of its (seed,
-replica) key through the ``Philox.state`` setter, and gives them back when
-its ``blocks()`` finishes or is closed.  The pool keeps at most
-``_IDLE_MAX`` generators, so memory held between calls stays bounded.  Two
-live streams never share a generator, and a re-keyed generator draws
-exactly what a new one would.
+Each replica's Philox bit generator is built from a seed sequence
+(``_key_type``) that hands over the (seed, replica) key words as they are.
+That gives the state of ``Philox(key=...)`` bit for bit at about a third
+of its cost: the keyed constructor first draws OS entropy for a seed
+sequence that the key then replaces.  A stream's bit generators live only
+as long as its ``blocks()``; nothing is kept between streams.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,49 +82,60 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _key_type():
+    """The seed-sequence class of ``_bit_generators``, made on first use.
+
+    It subclasses ``ISeedSequence``; importing ``numpy.random`` for it when
+    this module is imported would cost every process about 6 MB and 10 ms,
+    whether it draws or not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        """Hands a Philox generator ``words``, the key [seed, replica], as they are.
+
+        ``Philox(Key(seed, replica), counter=0)`` starts in the state of
+        ``Philox(key=[seed, replica])``: Philox takes its two 64-bit key
+        words from ``generate_state(2, np.uint64)`` and starts at the given
+        counter.  Meant for Philox only.
+        """
+
+        __slots__ = ("words",)
+
+        def __init__(self, seed: int, replica: int):
+            self.words = np.array([seed, replica], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Key
+
+
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
+def _bit_generators(seed: int, first: int, count: int) -> list:
+    """Philox bit generators of replicas first..first+count-1, each in the state of ``Philox(key=[seed, r])``.
+
+    They share one key, re-pointed before each is built; a Philox
+    copies its key words when it is built and never reads them again.
+    """
+    key = _key_type()(seed, first)
+    bits = []
+    for replica in range(first, first + count):
+        key.words[1] = replica
+        bits.append(np.random.Philox(key, counter=_ZERO_COUNTER))
+    return bits
+
+
 def _generator(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+    return np.random.Generator(_bit_generators(seed, replica, 1)[0])
 
 
 def sample_increments(seed: int, replica: int, dim_noise: int, step: float, count: int) -> np.ndarray:
     """Raw (count, dim_noise) N(0, step) draws from the (seed, replica) stream."""
     return _generator(seed, replica).standard_normal((count, dim_noise)) * np.sqrt(step)
-
-
-_IDLE_MAX = 2**12  # about 2.5 MB of idle generators
-_IDLE_GENERATORS = []
-_IDLE_LOCK = threading.Lock()
-
-
-def _take_generators(seed: int, first: int, count: int) -> list:
-    """Generators of replicas first..first+count-1, each drawing what ``_generator`` would.
-
-    Idle generators from the pool are re-keyed; new ones are built only
-    when the pool runs short.  Hand them back with ``_give_generators``.
-    """
-    with _IDLE_LOCK:
-        cut = max(0, len(_IDLE_GENERATORS) - count)
-        idle = _IDLE_GENERATORS[cut:]
-        del _IDLE_GENERATORS[cut:]
-    key = np.array([seed, first], dtype=np.uint64)
-    # the state of a new Philox(key=key): zero counter, empty output buffer
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i, gen in enumerate(idle):
-        key[1] = first + i
-        gen.bit_generator.state = state
-    return idle + [_generator(seed, first + i) for i in range(len(idle), count)]
-
-
-def _give_generators(generators: list) -> None:
-    with _IDLE_LOCK:
-        _IDLE_GENERATORS.extend(generators[: max(0, _IDLE_MAX - len(_IDLE_GENERATORS))])
 
 
 class IncrementStream:
@@ -163,17 +171,16 @@ class IncrementStream:
     def blocks(self):
         count, n_steps, dim = self.shape
         scale = np.sqrt(self.step)
+        # the state lives in the bit generator: wrapping it anew for each block
+        # is cheap, and holding a Generator per replica would add 224 bytes each
+        bits = _bit_generators(self.seed, self.first, count)
         buf = np.empty((count, self.block, dim))
-        generators = _take_generators(self.seed, self.first, count)
-        try:
-            for start in range(0, n_steps, self.block):
-                rows = buf[:, : min(self.block, n_steps - start)]
-                for gen, out in zip(generators, rows):
-                    gen.standard_normal(out=out)
-                rows *= scale
-                yield rows.transpose(1, 0, 2)
-        finally:
-            _give_generators(generators)
+        for start in range(0, n_steps, self.block):
+            rows = buf[:, : min(self.block, n_steps - start)]
+            for bit, out in zip(bits, rows):
+                np.random.Generator(bit).standard_normal(out=out)
+            rows *= scale
+            yield rows.transpose(1, 0, 2)
 
 
 class _CoarseningStream(IncrementStream):

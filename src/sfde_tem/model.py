@@ -147,32 +147,45 @@ def truncate(x, radius: float):
     return out
 
 
+def _norms(v: np.ndarray):
+    """Norms over the last axis of ``v / unit[..., None]``, and ``unit``.
+
+    ``unit`` is max|v| on a finite row whose squared norm overflows, where
+    ``norms * unit`` is its true norm, and 1 on every other row, whose norm
+    keeps the bits of ``sqrt(sum(v * v))``.
+    """
+    nrm = np.sqrt(_sum_last_axis(v * v))
+    unit = np.ones(np.shape(nrm))
+    inf = np.isinf(nrm)
+    if inf.any():
+        big = np.abs(v).max(axis=-1)
+        unit[...] = np.where(inf & np.isfinite(big), big, 1.0)
+        u = v / unit[..., None]
+        nrm = np.sqrt(_sum_last_axis(u * u))
+    return nrm, unit
+
+
 def clip_to_ball(x: np.ndarray, radius: float):
     """Radial clip plus the mask of clipped entries.
 
     Repeats the rescale until the recomputed norm is within the radius, so
     outputs pass unchanged through a second clip (exact idempotence even
     when rounding leaves the first rescale an ulp outside the ball).  A
-    finite vector whose squared norm overflows is divided by max|x| before
-    the rescale, so it lands on the sphere, not on the origin.
+    finite vector whose squared norm overflows is measured and rescaled on
+    the scale of its max|x| (``_norms``): it is clipped only if its norm
+    exceeds the radius, and then lands on the sphere, not on the origin.
     """
-    nrm = np.sqrt(_sum_last_axis(x * x))
-    over = nrm > radius
+    nrm, unit = _norms(x)
+    over = nrm > radius / unit
     if not over.any():
         return x, over
     clipped = over
     out = x
-    big = np.abs(x).max(axis=-1)
-    overflow = np.isinf(nrm) & np.isfinite(big)
-    if overflow.any():
-        # divide those rows by max|x| first: their norms are then finite
-        out = x / np.where(overflow, big, 1.0)[..., None]
-        nrm = np.where(overflow, np.sqrt(_sum_last_axis(out * out)), nrm)
     while np.any(over):
         scale = radius / np.where(over, nrm, 1.0)
-        out = np.where(over[..., None], out * scale[..., None], out)
-        nrm = np.sqrt(_sum_last_axis(out * out))
-        over = nrm > radius
+        out = np.where(over[..., None], out / unit[..., None] * scale[..., None], out)
+        nrm, unit = _norms(out)
+        over = over & (nrm > radius / unit)
     return out, clipped
 
 

@@ -27,9 +27,10 @@ runs one over a whole array or stream.  A step costs a fixed handful of
 whole-batch array operations, so the driver keeps per-step overhead down:
 no numpy loop over a short trailing axis (the noise is contracted and
 short axes are summed one column at a time, ``segment._sum_last_axis``),
-and a step whose states all lie inside the ball skips the clip and its
-finiteness check.  The builtin coefficients it calls write cubes as
-products (``h * h * h``), which numpy evaluates far faster than ``h**3``.
+and a step whose entries all lie well within radius / sqrt(n) skips the
+clip and its finiteness check.  The builtin coefficients it calls write
+cubes as products (``h * h * h``), which numpy evaluates far faster than
+``h**3``.
 """
 
 from __future__ import annotations
@@ -395,12 +396,11 @@ class _Driver:
         self.per_step = per_step
         self.replica_offset = replica_offset
         self.radius = truncation_radius(model.gamma, delta)
-        # a step whose states all have norms within ``limit`` needs no clip and
-        # no finiteness check (an infinite radius clips nothing, but a
-        # non-finite state must still raise); one whose entries all lie within
-        # ``inside`` has such norms, by a margin far wider than their rounding
-        self.limit = min(self.radius, sys.float_info.max)
-        self.inside = 0.999 * self.limit / math.sqrt(model.dim_state)
+        # a step whose entries all lie within ``inside`` has norms within the
+        # radius, by a margin far wider than their rounding, so it needs no
+        # clip and no finiteness check; the radius is capped at the largest
+        # float, so a non-finite state still meets the check
+        self.inside = 0.999 * min(self.radius, sys.float_info.max) / math.sqrt(model.dim_state)
         self.truncated = config.variant == TRUNCATED_EM
         self.initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
         self.window = _SlidingWindow(self.initial_nodes, batch, model.tau, n_steps)
@@ -417,7 +417,7 @@ class _Driver:
     def advance(self, rows) -> None:
         model, window, per_step = self.model, self.window, self.per_step
         delta, radius, truncated, n_steps = self.delta, self.radius, self.truncated, self.n_steps
-        limit, inside = self.limit, self.inside
+        inside = self.inside
         hits, alive, div_step, k, new, pres = self.hits, self.alive, self.div_step, self.k, self.new, self.pre
         g_shape = (window.batch, model.dim_state, model.dim_noise)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -433,10 +433,7 @@ class _Driver:
                 pre = np.multiply(f, delta, out=pres[k % 2])
                 pre += head
                 pre += _apply_noise(g, db)
-                if truncated and (
-                    np.abs(pre).max(initial=0.0) <= inside
-                    or math.sqrt(_sum_last_axis(pre * pre).max(initial=0.0)) <= limit
-                ):
+                if truncated and np.abs(pre).max(initial=0.0) <= inside:
                     new = pre  # the clip would return it unchanged
                 elif truncated:
                     if not np.isfinite(pre).all():

@@ -1,5 +1,7 @@
+import os
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,8 +121,8 @@ class TestIncrementStream:
         assert np.array_equal(first, again)
 
 
-def _fresh_state(seed, replica):
-    return np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)).state
+def _fresh(seed, replica):
+    return np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
 
 
 def _same_state(a, b):
@@ -132,59 +134,43 @@ def _same_state(a, b):
     )
 
 
-class TestGeneratorReuse:
-    # streams take their generators from a process-wide pool and re-key them;
-    # each case checks the re-keyed generators against new Philox(key=[seed, r])
-    # objects, state and draws
+class TestGeneratorKeys:
+    # generators are built from a seed sequence that hands Philox its key
+    # words; each case checks them against new Philox(key=[seed, r]) objects
     @pytest.fixture(autouse=True)
-    def empty_pool(self, monkeypatch):
-        monkeypatch.setattr(brownian, "_IDLE_GENERATORS", [])
+    def small_blocks(self, monkeypatch):
         monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * 5 * 4 * 2)  # blocks of 5 steps
 
     @staticmethod
     def _check_rows(stream, rows):
         count, n_steps, dim = stream.shape
         for i in range(count):
-            assert np.array_equal(rows[:, i], sample_increments(stream.seed, stream.first + i, dim, stream.step, n_steps))
+            fresh = np.random.Generator(_fresh(stream.seed, stream.first + i))
+            assert np.array_equal(rows[:, i], fresh.standard_normal((n_steps, dim)) * np.sqrt(stream.step))
+
+    @pytest.mark.parametrize("seed, first", [(0, 0), (9, 100), (2**63, 1), (2**64 - 1, 2**64 - 3)])
+    def test_state_and_draws_of_new_bit_generators(self, seed, first):
+        for i, bit in enumerate(brownian._bit_generators(seed, first, 3)):
+            built, fresh = np.random.Generator(bit), np.random.Generator(_fresh(seed, first + i))
+            assert _same_state(built.bit_generator.state, fresh.bit_generator.state)
+            assert np.array_equal(built.standard_normal(103), fresh.standard_normal(103))
+            assert _same_state(built.bit_generator.state, fresh.bit_generator.state)
 
     def test_after_a_finished_stream(self):
         first = IncrementStream(1, 0, 4, 2, 0.25, 12)
         for _ in first.blocks():
             pass
-        pooled = {id(g) for g in brownian._IDLE_GENERATORS}
-        assert len(pooled) == 4
-        taken = brownian._take_generators(9, 100, 4)
-        assert {id(g) for g in taken} == pooled
-        for i, gen in enumerate(taken):
-            assert _same_state(gen.bit_generator.state, _fresh_state(9, 100 + i))
-        brownian._give_generators(taken)
         second = IncrementStream(9, 100, 4, 2, 0.25, 12)
         self._check_rows(second, np.concatenate([rows.copy() for rows in second.blocks()]))
-        assert {id(g) for g in brownian._IDLE_GENERATORS} == pooled
 
     def test_after_a_stream_closed_halfway(self):
-        def close_halfway():
-            blocks = IncrementStream(1, 0, 4, 2, 0.25, 12).blocks()
-            next(blocks)
-            assert brownian._IDLE_GENERATORS == []
-            blocks.close()
-            return {id(g) for g in brownian._IDLE_GENERATORS}
-
-        pooled = close_halfway()
-        assert len(pooled) == 4
-        second = IncrementStream(3, 7, 4, 2, 0.25, 12)
-        self._check_rows(second, np.concatenate([rows.copy() for rows in second.blocks()]))
-        assert {id(g) for g in brownian._IDLE_GENERATORS} == pooled
-        assert close_halfway() == pooled
-        for i, gen in enumerate(brownian._take_generators(3, 7, 4)):
-            assert _same_state(gen.bit_generator.state, _fresh_state(3, 7 + i))
+        blocks = IncrementStream(3, 7, 4, 2, 0.25, 12).blocks()
+        next(blocks)
+        blocks.close()
+        again = IncrementStream(3, 7, 4, 2, 0.25, 12)
+        self._check_rows(again, np.concatenate([rows.copy() for rows in again.blocks()]))
 
     def test_two_streams_live_at_once(self):
-        warm = IncrementStream(1, 0, 3, 2, 0.25, 12)
-        for _ in warm.blocks():
-            pass
-        # the pool holds 3 generators; the two streams need 8 at once, and a
-        # shared generator would interleave their draws
         a, b = IncrementStream(5, 0, 4, 2, 0.25, 12), IncrementStream(6, 3, 4, 2, 0.25, 12)
         blocks_a, blocks_b = a.blocks(), b.blocks()
         got_a, got_b = [], []
@@ -194,47 +180,15 @@ class TestGeneratorReuse:
         assert next(blocks_b, None) is None
         self._check_rows(a, np.concatenate(got_a))
         self._check_rows(b, np.concatenate(got_b))
-        assert len(brownian._IDLE_GENERATORS) == 8
 
-    def test_streams_in_threads_draw_their_own_rows(self):
-        # more threads than cores take and give back generators at once, under
-        # a short switch interval; a generator handed to two streams would
-        # interleave their draws, and one lost or doubled would show in the pool
-        failures = []
-
-        def worker(seed):
-            try:
-                for first in range(0, 120, 3):
-                    stream = IncrementStream(seed, first, 3, 2, 0.25, 12)
-                    self._check_rows(stream, np.concatenate([rows.copy() for rows in stream.blocks()]))
-            except Exception as exc:  # reported below, from the test's own thread
-                failures.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        pooled = brownian._IDLE_GENERATORS
-        assert 3 <= len(pooled) <= 18
-        assert len({id(g) for g in pooled}) == len(pooled)
-
-    def test_pool_keeps_at_most_its_bound(self, monkeypatch):
-        monkeypatch.setattr(brownian, "_IDLE_MAX", 3)
-        stream = IncrementStream(2, 0, 5, 2, 0.25, 12)
-        for _ in stream.blocks():
-            pass
-        assert len(brownian._IDLE_GENERATORS) == 3
-        again = IncrementStream(2, 1, 5, 2, 0.25, 12)
-        self._check_rows(again, np.concatenate([rows.copy() for rows in again.blocks()]))
-        assert len(brownian._IDLE_GENERATORS) == 3
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        # the seed-sequence class is made on first use; loading numpy.random
+        # with the package would cost every process about 6 MB
+        src = str(Path(brownian.__file__).resolve().parents[1])
+        code = "import sys, sfde_tem; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCoarseningStream:

@@ -105,6 +105,24 @@ class TestTruncate:
         assert over.tolist() == [True, False]
         assert batch[1].tolist() == [0.5] + [0.0] * (len(x) - 1)
 
+    @pytest.mark.parametrize(
+        "x, radius",
+        [([1e200], 1e300), ([-1e200], 1e300), ([3e200, 4e200], 1e300), ([1e200, 1e200], math.inf)],
+        ids=["scalar", "negative_scalar", "pair", "infinite_radius"],
+    )
+    def test_overflowing_squared_norm_inside_the_ball_is_kept(self, x, radius):
+        # the squared norm overflows to inf > radius, but the true norm lies
+        # inside the ball: the vector passes unchanged, alone and next to a
+        # row that is clipped
+        with np.errstate(over="ignore"):
+            out = truncate(np.array(x), radius)
+            far = [2e300] + [0.0] * (len(x) - 1)
+            batch, over = clip_to_ball(np.array([x, far]), radius)
+        assert out.tolist() == x
+        assert batch[0].tolist() == x
+        assert over.tolist() == [False, math.isfinite(radius)]
+        assert batch[1].tolist() == ([radius] + [0.0] * (len(x) - 1) if math.isfinite(radius) else far)
+
 
 class TestGammaInverseNumeric:
     def test_identity_function(self):
