@@ -10,7 +10,7 @@ Two checks run below:
   * the linear model against its closed-form solution (exact reference), and
   * the cubic delay system against its own finest-grid run.
 
-Run:  python demos/02_strong_convergence.py           (about a minute)
+Run:  python demos/02_strong_convergence.py           (2-3 s on one CPU core)
 Full-scale equivalent of the second table (M = 1000, reference 2^-14, T = 10):
   sfde-tem convergence --model example1
 """

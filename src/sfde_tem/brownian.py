@@ -3,9 +3,12 @@
 Each (master seed, replica index) pair keys an independent Philox counter
 stream, so replicas can be generated in any order or in parallel and still
 reproduce bit-identically.  Coarse-step increments are block sums of the
-fine ones, computed with a fixed pairwise-halving tree so that coarsening
-by a*b equals coarsening by a then by b exactly (no floating-point
-reassociation) whenever the factors are powers of two.
+fine ones, and every sum of increments, whole-path totals included, is
+ordered by one rule (``_block_sums``): within a block, neighbouring pairs
+are added while its length is even, then what is left is added in order.
+So coarsening by 2^a * b (b odd) equals coarsening by 2^a and then by b
+exactly (no floating-point reassociation), and a path's total equals the
+total of any dyadic coarsening of it.
 
 ``IncrementStream`` hands a batch of replicas' increments to the driver
 time-major, one reused block of at most ``STREAM_BYTES`` at a time, with
@@ -193,10 +196,10 @@ class _CoarseningStream(IncrementStream):
     steps; read when the stream is built), so it holds whole steps of every
     level.  ``blocks()`` yields each block; once the consumer asks for the
     next one, the block it has used is summed in place, each level from the
-    one before, and handed to that level's callable.  Aligned blocks sum the same pairwise tree as a
-    whole path, so every level is bit-identical to ``coarsen`` of the fine
-    path.  ``totals[b]`` is block b's tree sum, one node of the tree
-    ``total_increment`` sums over the whole path.
+    one before, and handed to that level's callable.  Blocks are aligned
+    powers of two, so every level is bit-identical to ``coarsen`` of the
+    fine path.  ``totals[b]`` is block b's sum, one node of the pairs
+    ``total_increment`` adds over the whole path.
     """
 
     def __init__(self, seed, first, count, dim_noise, step, n_steps, levels):
@@ -225,7 +228,7 @@ class _CoarseningStream(IncrementStream):
 def _coarsen_in_place(rows: np.ndarray, factor: int) -> np.ndarray:
     """``_block_sums`` of ``rows`` by ``factor`` along axis 0, written over its first rows.
 
-    A slab of about 2^16 input floats at a time, so the tree allocates only
+    A slab of about 2^16 input floats at a time, so the sums allocate only
     a slab's worth of temporaries; each slab's sums overwrite rows no later
     slab reads.
     """
@@ -240,8 +243,9 @@ def _coarsen_in_place(rows: np.ndarray, factor: int) -> np.ndarray:
 def coarsen(grid, factor: int) -> np.ndarray:
     """Block sums of fine increments: output[k] = sum of fine block k of size ``factor``.
 
-    Power-of-two factors use pairwise halving (the tree that makes dyadic
-    coarsening compose exactly); other factors sum blocks left to right.
+    Summed by ``_block_sums``, so coarsening by 2^a * b (b odd) equals
+    coarsening by 2^a and then by b exactly.  Factor 1 gives a view of the
+    increments.
     """
     inc = grid.increments if isinstance(grid, BrownianGrid) else np.asarray(grid)
     if factor < 1:
@@ -252,48 +256,32 @@ def coarsen(grid, factor: int) -> np.ndarray:
     return _block_sums(inc, factor, axis=0)
 
 
-def _halve(a: np.ndarray, axis: int) -> np.ndarray:
-    """One level of the pairwise tree: element 2i plus element 2i+1 along ``axis``."""
-    even = [slice(None)] * a.ndim
-    odd = [slice(None)] * a.ndim
-    even[axis] = slice(0, None, 2)
-    odd[axis] = slice(1, None, 2)
-    return a[tuple(even)] + a[tuple(odd)]
-
-
 def _block_sums(inc: np.ndarray, factor: int, axis: int) -> np.ndarray:
-    if factor == 1:
-        return inc.copy()
-    if factor & (factor - 1) == 0:
-        out = inc
-        while factor > 1:
-            out = _halve(out, axis)
-            factor //= 2
-        return out
-    shape = list(inc.shape)
-    blocks = shape[axis] // factor
-    reshaped = inc.reshape(shape[:axis] + [blocks, factor] + shape[axis + 1 :])
-    out = reshaped.take(0, axis=axis + 1)
+    """Sums of consecutive groups of ``factor`` entries along ``axis``: the order of every Brownian sum.
+
+    Within each group, neighbouring pairs are added while the group's length
+    is even, then what is left is added in order.  A whole-axis total is
+    ``factor`` = the axis length, leaving that axis with one entry.  ``axis``
+    counts from 0.
+    """
+
+    def every(start: int, stride: int) -> tuple:
+        return (slice(None),) * axis + (slice(start, None, stride),)
+
+    out = inc
+    while factor > 1 and factor % 2 == 0:
+        out = out[every(0, 2)] + out[every(1, 2)]
+        factor //= 2
+    total = out[every(0, factor)]
     for i in range(1, factor):
-        out = out + reshaped.take(i, axis=axis + 1)
-    return out
+        total = total + out[every(i, factor)]
+    return total
 
 
 def total_increment(increments: np.ndarray) -> np.ndarray:
-    """B(T) - B(0) per coordinate, summed with the same halving tree as coarsen.
+    """B(T) - B(0) per coordinate: ``coarsen`` of the whole path.
 
-    Halving while the length is even reproduces every dyadic coarsening
-    level bit-exactly, so the total agrees with the total of any coarsened
-    sequence of the same path.
+    It equals the total of any dyadic coarsening of the same path bit for bit.
     """
-    return _tree_total(np.asarray(increments), axis=0)
-
-
-def _tree_total(inc: np.ndarray, axis: int) -> np.ndarray:
-    out = inc
-    while out.shape[axis] > 1 and out.shape[axis] % 2 == 0:
-        out = _halve(out, axis)
-    total = out.take(0, axis=axis)
-    for i in range(1, out.shape[axis]):
-        total = total + out.take(i, axis=axis)
-    return total
+    inc = np.asarray(increments)
+    return coarsen(inc, len(inc))[0]

@@ -20,11 +20,11 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .brownian import IncrementStream, _CoarseningStream, _tree_total, ratio_as_int
+from .brownian import IncrementStream, _block_sums, _CoarseningStream, ratio_as_int
 
 # bound only for perfbench/tracing.py's patch points, so its brownian.sample_s, coarsen_s and
 # normals read 0 on converge-ex1: a blind spot, not a measurement (delete with ROADMAP item 1)
-from .brownian import _block_sums, sample_increments  # noqa: F401
+from .brownian import sample_increments  # noqa: F401
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .model import SfdeModel
 from .scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _Driver, _History, _run_batch, resolve_grid
@@ -141,7 +141,8 @@ def strong_error(
         if exact_terminal is not None:
             for _ in stream.blocks():
                 pass  # no reference run: the coarse levels follow the stream alone
-            ref_term = np.asarray(exact_terminal(_tree_total(stream.totals, axis=0)[:, None], horizon))
+            b_total = _block_sums(stream.totals, len(stream.totals), axis=0)[0]
+            ref_term = np.asarray(exact_terminal(b_total[:, None], horizon))
         else:
             ref = _run_batch(model, ref_config, stream, replica_offset=start)
             ref_term = ref.terminal

@@ -425,15 +425,15 @@ def gbm_closed_form(a: float, b: float, x0: float):
     """Terminal-value oracle x0 exp((a - b^2/2) T + b B(T)) for the linear model.
 
     Returns a callable mapping increments of shape (..., K, d) plus the
-    horizon to terminal states of shape (..., 1).  B(T) is summed with the
-    same tree as the coarsening, so it matches every coarse level of the
-    same path bit-exactly; ``strong_error`` passes B(T) itself, as a
+    horizon to terminal states of shape (..., 1).  B(T) is summed by the
+    coarsening's rule, so it matches every dyadic coarse level of the same
+    path bit-exactly; ``strong_error`` passes B(T) itself, as a
     one-step path (K = 1).
     """
 
     def terminal(increments: np.ndarray, horizon: float) -> np.ndarray:
         inc = np.asarray(increments)
-        b_total = brownian._tree_total(inc, axis=inc.ndim - 2)[..., 0]
+        b_total = brownian._block_sums(inc, inc.shape[-2], axis=inc.ndim - 2)[..., 0, 0]
         return (x0 * np.exp((a - 0.5 * b * b) * horizon + b * b_total))[..., None]
 
     return terminal

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sfde_tem import brownian
 from sfde_tem.brownian import (
@@ -12,7 +13,6 @@ from sfde_tem.brownian import (
     _block_sums,
     _CoarseningStream,
     _coarsen_in_place,
-    _tree_total,
     coarsen,
     generate,
     ratio_as_int,
@@ -96,6 +96,34 @@ class TestCoarsen:
         stacked = _block_sums(np.stack([a, b]), 4, axis=1)
         assert np.array_equal(stacked[0], coarsen(a, 4))
         assert np.array_equal(stacked[1], coarsen(b, 4))
+
+    @given(
+        a=st.integers(0, 4),
+        b=st.sampled_from([1, 3, 5, 7]),
+        k=st.integers(1, 3),
+        trailing=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_is_pairs_then_in_order(self, a, b, k, trailing, seed):
+        x = np.random.default_rng(seed).normal(size=(k * 2**a * b, *trailing))
+        out = coarsen(x, 2**a * b)
+        assert np.array_equal(out, coarsen(coarsen(x, 2**a), b))
+        if b == 1:
+            pairs = x
+            for _ in range(a):
+                pairs = pairs[0::2] + pairs[1::2]
+            assert np.array_equal(out, pairs)
+        if a == 0:
+            in_order = x[0::b]
+            for i in range(1, b):
+                in_order = in_order + x[i::b]
+            assert np.array_equal(out, in_order)
+
+    def test_total_is_whole_path_coarsening(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 65):
+            x = rng.normal(size=(n, 2))
+            assert np.array_equal(total_increment(x), coarsen(x, n)[0])
 
 
 class TestIncrementStream:
@@ -208,7 +236,7 @@ class TestCoarseningStream:
             assert np.array_equal(fine[:, i], path)
             for f, rows in got.items():
                 assert np.array_equal(np.concatenate(rows)[:, i], coarsen(path, f))
-            assert np.array_equal(_tree_total(stream.totals[:, i], axis=0), total_increment(path))
+            assert np.array_equal(_block_sums(stream.totals[:, i], len(stream.totals), axis=0)[0], total_increment(path))
 
     @pytest.mark.parametrize("factor", [2, 4, 16])
     def test_in_place_sums_across_slabs(self, factor):
