@@ -32,6 +32,7 @@ as long as its ``blocks()``; nothing is kept between streams.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ SWEEP_BYTES = 2**22
 def ratio_as_int(numerator: float, denominator: float, what: str = "ratio") -> int:
     """Round numerator/denominator to an integer, requiring 1e-9 relative closeness."""
     ratio = numerator / denominator
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"{what} {numerator}/{denominator} = {ratio} is not a positive integer")
     k = round(ratio)
     if k < 1 or abs(ratio - k) > RATIO_REL_TOL * max(1.0, abs(ratio)):
         raise ConfigurationError(f"{what} {numerator}/{denominator} = {ratio} is not a positive integer")

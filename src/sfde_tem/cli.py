@@ -8,9 +8,14 @@ Commands
     nu           admissible decay constant          (summary line only)
 
 Configuration comes from a flat ``key = value`` file (``#`` comments) with
-command-line flags overriding file values.  Numbers are serialized with 17
-significant digits, and identical config + seed reproduces identical CSV
-bytes.
+command-line flags overriding file values.  Each key is declared once, in
+``_KEYS`` (its ``RunConfig`` field, parser and flag help; ``ref_exponent``
+is the flag ``--ref-exponent``), and each command once, in ``_COMMANDS``
+(its default output and steps); ``RunConfig`` holds every other default.
+``nu`` takes all of b1..b4 or none (then example2's constants).  Each
+command writes its CSV, then prints one summary line.  Numbers are
+serialized with 17 significant digits, and identical config + seed
+reproduces identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -26,25 +31,6 @@ from . import brownian, experiments, scheme
 from .errors import ConfigurationError, DegenerateFitError, NumericalError, SfdeTemError
 from .model import MODEL_REGISTRY, get_model
 
-COMMANDS = ("simulate", "convergence", "stability", "moments", "nu")
-
-DEFAULTS = {
-    "horizon": 10.0,
-    "samples": 1000,
-    "seed": 42,
-    "p": 2.0,
-    "ref_exponent": 14,
-}
-DEFAULT_STEPS = {"convergence": [5, 6, 7, 8, 10]}
-DEFAULT_STEPS_SINGLE = [6]
-DEFAULT_OUTPUT = {
-    "simulate": "trajectory.csv",
-    "convergence": "convergence.csv",
-    "stability": "stability.csv",
-    "moments": "moments.csv",
-    "nu": "",
-}
-
 _PARAM_KEYS = ("a", "b", "x0", "b1", "b2", "b3", "b4", "tau")
 
 
@@ -56,40 +42,50 @@ class RunConfig:
     model_name: str = "example1"
     model_params: Dict[str, float] = field(default_factory=dict)
     step_exponents: List[int] = field(default_factory=list)
-    ref_exponent: int = DEFAULTS["ref_exponent"]
-    horizon: float = DEFAULTS["horizon"]
-    samples: int = DEFAULTS["samples"]
-    seed: int = DEFAULTS["seed"]
-    p_exponent: float = DEFAULTS["p"]
+    ref_exponent: int = 14
+    horizon: float = 10.0
+    samples: int = 1000
+    seed: int = 42
+    p_exponent: float = 2.0
     output_path: str = ""
 
 
 def _parse_steps(raw: str) -> List[int]:
-    try:
-        return [int(item) for item in raw.replace(" ", "").split(",") if item]
-    except ValueError as exc:
-        raise ConfigurationError(f"key 'steps' expects comma-separated integers, got '{raw}'") from exc
+    return [int(item) for item in raw.replace(" ", "").split(",") if item]
 
 
-def _parse_scalar(key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"key '{key}' expects {kind.__name__}, got '{raw}'") from exc
-
-
-_KEY_PARSERS = {
-    "command": lambda k, v: str(v),
-    "model": lambda k, v: str(v),
-    "steps": lambda k, v: _parse_steps(v),
-    "ref_exponent": lambda k, v: _parse_scalar(k, v, int),
-    "horizon": lambda k, v: _parse_scalar(k, v, float),
-    "samples": lambda k, v: _parse_scalar(k, v, int),
-    "seed": lambda k, v: _parse_scalar(k, v, int),
-    "p": lambda k, v: _parse_scalar(k, v, float),
-    "output": lambda k, v: str(v),
-    **{key: (lambda k, v: _parse_scalar(k, v, float)) for key in _PARAM_KEYS},
+# key -> (RunConfig field, or None for a model parameter; parser; what it expects; flag help)
+_KEYS = {
+    "command": ("command", str, "str", None),
+    "model": ("model_name", str, "str", "model registry name (example1, example2, gbm)"),
+    "steps": ("step_exponents", _parse_steps, "comma-separated integers",
+              "comma-separated step exponents j (step = 2^-j)"),
+    "ref_exponent": ("ref_exponent", int, "int", "reference step exponent"),
+    "horizon": ("horizon", float, "float", "time horizon T"),
+    "samples": ("samples", int, "int", "Monte Carlo replica count M"),
+    "seed": ("seed", int, "int", "master seed"),
+    "p": ("p_exponent", float, "float", "moment exponent p"),
+    "output": ("output_path", str, "str", "CSV output path"),
+    **{key: (None, float, "float", f"model parameter {key}") for key in _PARAM_KEYS},
 }
+
+# command -> (default output path, default step exponents)
+_COMMANDS = {
+    "simulate": ("trajectory.csv", (6,)),
+    "convergence": ("convergence.csv", (5, 6, 7, 8, 10)),
+    "stability": ("stability.csv", (6,)),
+    "moments": ("moments.csv", (6,)),
+    "nu": ("", (6,)),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
+def _parse(key: str, raw: str):
+    _, parser, expects, _ = _KEYS[key]
+    try:
+        return parser(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"key '{key}' expects {expects}, got '{raw}'") from exc
 
 
 def parse_config(text: Optional[str] = None, overrides: Optional[Mapping[str, object]] = None) -> RunConfig:
@@ -102,15 +98,15 @@ def parse_config(text: Optional[str] = None, overrides: Optional[Mapping[str, ob
         if "=" not in body:
             raise ConfigurationError(f"config line {lineno} is not 'key = value': '{line.strip()}'")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigurationError(f"unknown config key '{key}' (line {lineno})")
-        values[key] = _KEY_PARSERS[key](key, raw)
+        values[key] = _parse(key, raw)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigurationError(f"unknown config key '{key}'")
-        values[key] = _KEY_PARSERS[key](key, val) if isinstance(val, str) else val
+        values[key] = _parse(key, val) if isinstance(val, str) else val
 
     command = values.get("command")
     if command is None:
@@ -118,18 +114,11 @@ def parse_config(text: Optional[str] = None, overrides: Optional[Mapping[str, ob
     if command not in COMMANDS:
         raise ConfigurationError(f"key 'command' must be one of {COMMANDS}, got '{command}'")
 
-    config = RunConfig(
-        command=command,
-        model_name=values.get("model", "example1"),
-        model_params={k: values[k] for k in _PARAM_KEYS if k in values},
-        step_exponents=list(values.get("steps", DEFAULT_STEPS.get(command, DEFAULT_STEPS_SINGLE))),
-        ref_exponent=values.get("ref_exponent", DEFAULTS["ref_exponent"]),
-        horizon=values.get("horizon", DEFAULTS["horizon"]),
-        samples=values.get("samples", DEFAULTS["samples"]),
-        seed=values.get("seed", DEFAULTS["seed"]),
-        p_exponent=values.get("p", DEFAULTS["p"]),
-        output_path=values.get("output", DEFAULT_OUTPUT[command]),
-    )
+    output, steps = _COMMANDS[command]
+    fields = {"output_path": output, "step_exponents": steps}
+    fields.update((_KEYS[key][0], val) for key, val in values.items() if key not in _PARAM_KEYS)
+    fields["step_exponents"] = list(fields["step_exponents"])
+    config = RunConfig(model_params={k: values[k] for k in _PARAM_KEYS if k in values}, **fields)
     _validate(config)
     return config
 
@@ -168,16 +157,17 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a validated config; writes CSV artifacts and prints one summary line."""
+    """Dispatch a validated config; writes the command's CSV, then prints one summary line."""
     model = get_model(config.model_name, config.model_params)
     step0 = 2.0 ** (-config.step_exponents[0])
+    header = None  # nu writes no CSV
 
     if config.command == "simulate":
         grid = brownian.generate(config.seed, 0, model.dim_noise, step0, config.horizon)
         record = scheme.simulate(model, scheme.SchemeConfig(step=step0, horizon=config.horizon), grid)
+        header = "t," + ",".join(f"y_{i+1}" for i in range(model.dim_state))
         rows = ((t,) + tuple(state) for t, state in zip(record.times, record.states))
-        _write_csv(config.output_path, "t," + ",".join(f"y_{i+1}" for i in range(model.dim_state)), rows)
-        print(f"truncation_hits={record.truncation_hits}")
+        summary = f"truncation_hits={record.truncation_hits}"
     elif config.command == "convergence":
         table = experiments.strong_error(
             model,
@@ -187,9 +177,9 @@ def run(config: RunConfig) -> int:
             samples=config.samples,
             seed=config.seed,
         )
+        header = "delta,rms_error,std_error"
         rows = zip(table.steps, table.rms_errors, table.std_errors)
-        _write_csv(config.output_path, "delta,rms_error,std_error", rows)
-        print("slope=degenerate" if table.fitted_slope is None else f"slope={_fmt(table.fitted_slope)}")
+        summary = "slope=degenerate" if table.fitted_slope is None else f"slope={_fmt(table.fitted_slope)}"
     elif config.command == "stability":
         report = experiments.stability_decay(
             model,
@@ -203,8 +193,7 @@ def run(config: RunConfig) -> int:
             (t, lm) + tuple(mean)
             for t, lm, mean in zip(report.times, report.log_moment, report.sample_mean)
         )
-        _write_csv(config.output_path, header, rows)
-        print(f"moment_rate={_fmt(report.moment_rate)}")
+        summary = f"moment_rate={_fmt(report.moment_rate)}"
     elif config.command == "moments":
         curve = experiments.moment_estimate(
             model,
@@ -213,21 +202,22 @@ def run(config: RunConfig) -> int:
             samples=config.samples,
             seed=config.seed,
         )
-        cumulative = np.fmax.accumulate(curve.moments)
-        rows = zip(curve.times, curve.moments, cumulative)
-        _write_csv(config.output_path, "t,moment_p,running_max", rows)
-        print(f"running_max={_fmt(curve.running_max)}")
+        header = "t,moment_p,running_max"
+        rows = zip(curve.times, curve.moments, np.fmax.accumulate(curve.moments))
+        summary = f"running_max={_fmt(curve.running_max)}"
     elif config.command == "nu":
-        params = config.model_params
-        if all(k in params for k in ("b1", "b2", "b3", "b4")):
-            b1, b2, b3, b4 = (params[k] for k in ("b1", "b2", "b3", "b4"))
-            tau = params.get("tau", model.tau)
-        else:
-            declared = get_model("example2").assumption_constants
-            b1, b2, b3, b4 = (declared[k] for k in ("b1", "b2", "b3", "b4"))
-            tau = params.get("tau", 0.5)
-        nu = experiments.admissible_nu(b1, b2, b3, b4, config.p_exponent, tau)
-        print(f"nu={_fmt(nu)}")
+        names, params = ("b1", "b2", "b3", "b4"), config.model_params
+        missing = [k for k in names if k not in params]
+        if 0 < len(missing) < len(names):
+            raise ConfigurationError(f"nu takes all of b1..b4 or none; missing {', '.join(missing)}")
+        constants = get_model("example2").assumption_constants if missing else params
+        tau = params.get("tau", 0.5 if missing else model.tau)
+        nu = experiments.admissible_nu(*(constants[k] for k in names), config.p_exponent, tau)
+        summary = f"nu={_fmt(nu)}"
+
+    if header is not None:
+        _write_csv(config.output_path, header, rows)
+    print(summary)
     return 0
 
 
@@ -238,27 +228,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--model", help="model registry name (example1, example2, gbm)")
-    parser.add_argument("--steps", help="comma-separated step exponents j (step = 2^-j)")
-    parser.add_argument("--ref-exponent", dest="ref_exponent", help="reference step exponent")
-    parser.add_argument("--horizon", help="time horizon T")
-    parser.add_argument("--samples", help="Monte Carlo replica count M")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--p", help="moment exponent p")
-    parser.add_argument("--output", help="CSV output path")
-    for key in _PARAM_KEYS:
-        parser.add_argument(f"--{key}", help=f"model parameter {key}")
+    for key, (_, _, _, help_text) in _KEYS.items():
+        if key != "command":
+            parser.add_argument("--" + key.replace("_", "-"), help=help_text)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in _KEY_PARSERS
-        if key != "command" and getattr(args, key, None) is not None
-    }
-    overrides["command"] = args.command
+    overrides = {key: getattr(args, key) for key in _KEYS}
     try:
         text = None
         if args.config:

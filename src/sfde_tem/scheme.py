@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import BrownianGrid, IncrementStream, ratio_as_int
+from .brownian import BrownianGrid, IncrementStream, _block_sums, ratio_as_int
 from .errors import ConfigurationError, NumericalError, UnsupportedPointError
 from .model import SfdeModel, clip_to_ball, truncate, truncation_radius
 from .segment import (
@@ -72,8 +72,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.step <= 1.0:
             raise ConfigurationError(f"step must lie in (0, 1], got {self.step}")
-        if not self.horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.variant not in _VARIANTS:
             raise ConfigurationError(f"variant must be one of {_VARIANTS}, got '{self.variant}'")
 
@@ -592,5 +592,5 @@ def continuous_extension(record: PathRecord, model: SfdeModel, grid: BrownianGri
     seg = segment_at(record, k)
     f = np.asarray(model.drift(seg))
     g = np.asarray(model.diffusion(seg))
-    db = grid.increments[k * factor : m].sum(axis=0)
+    db = _block_sums(grid.increments[k * factor : m], m - k * factor, axis=0)[0]
     return record.states[k] + f * ((m - k * factor) * grid.step_fine) + _apply_noise(g, db)

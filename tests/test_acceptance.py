@@ -1,7 +1,7 @@
 """Acceptance gate: each criterion runs at its stated tolerance and prints
 one pass/fail line.  Criteria 1, 2 and 4 are Monte Carlo runs at full scale
-(M = 1000) and dominate the suite's runtime (criterion 1 alone takes about
-40 s on two cores).  Every test here carries the ``acceptance`` marker, so
+(M = 1000) and dominate the suite's runtime (criterion 1 alone took 23 s
+in a full-suite run on a shared two-core host).  Every test here carries the ``acceptance`` marker, so
 ``pytest -m "not acceptance"`` runs the rest of the suite quickly."""
 
 import math

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -260,3 +261,8 @@ class TestRatioAsInt:
     def test_rejects_fractional(self):
         with pytest.raises(ConfigurationError):
             ratio_as_int(1.0, 0.3)
+
+    @pytest.mark.parametrize("numerator", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, numerator):
+        with pytest.raises(ConfigurationError, match="horizon/step"):
+            ratio_as_int(numerator, 0.25, "horizon/step")

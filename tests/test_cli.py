@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sfde_tem import experiments
+from sfde_tem import cli, experiments
 from sfde_tem.cli import main, parse_config, run
 from sfde_tem.errors import ConfigurationError
 
@@ -52,6 +52,35 @@ class TestParseConfig:
     def test_flags_override_file(self):
         cfg = parse_config("command = simulate\nseed = 1\n", {"command": "simulate", "seed": "9"})
         assert cfg.seed == 9
+
+
+# every settable key: (file value, flag value, RunConfig field or model parameter, parsed file value, parsed flag value)
+_KEY_CASES = {
+    "model": ("example2", "gbm", "model_name", "example2", "gbm"),
+    "steps": ("5,6", "7", "step_exponents", [5, 6], [7]),
+    "ref_exponent": ("12", "13", "ref_exponent", 12, 13),
+    "horizon": ("2", "3.5", "horizon", 2.0, 3.5),
+    "samples": ("200", "300", "samples", 200, 300),
+    "seed": ("1", "2", "seed", 1, 2),
+    "p": ("4", "8", "p_exponent", 4.0, 8.0),
+    "output": ("file.csv", "flag.csv", "output_path", "file.csv", "flag.csv"),
+    **{key: ("0.25", "0.75", "model_params", {key: 0.25}, {key: 0.75})
+       for key in ("a", "b", "x0", "b1", "b2", "b3", "b4", "tau")},
+}
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("key", list(_KEY_CASES))
+    def test_settable_from_file_and_flag_flag_wins(self, key, tmp_path, monkeypatch):
+        file_value, flag_value, name, from_file, from_flag = _KEY_CASES[key]
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"command = convergence\n{key} = {file_value}\n")
+        flag = "--" + key.replace("_", "-")
+        assert main(["convergence", "--config", str(conf)]) == 0
+        assert main(["convergence", "--config", str(conf), flag, flag_value]) == 0
+        assert [getattr(config, name) for config in seen] == [from_file, from_flag]
 
 
 class TestRun:
@@ -176,6 +205,24 @@ class TestMainExitCodes:
     def test_bad_nu_constants_exit_two(self, capsys):
         assert main(["nu", "--b1", "1", "--b2", "2", "--b3", "2", "--b4", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_horizon_exit_two(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--model", "gbm", "--steps", "5", "--horizon", "inf",
+             "--output", str(tmp_path / "t.csv")]
+        )
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_partial_nu_constants_exit_two(self, capsys):
+        assert main(["nu", "--b1", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "b2, b3, b4" in captured.err
+
+    def test_nu_tau_alone_accepted(self, capsys):
+        assert main(["nu", "--tau", "0.25"]) == 0
+        assert capsys.readouterr().out.startswith("nu=")
 
     def test_success_exit_zero(self, tmp_path):
         code = main(

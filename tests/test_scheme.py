@@ -107,6 +107,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SchemeConfig(step=2.0, horizon=1.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            SchemeConfig(step=0.25, horizon=horizon)
+
     def test_snapped_delta_is_exact(self):
         m = builtin_example1()
         delta, n_hist, n_steps = resolve_grid(m, SchemeConfig(step=2.0**-6, horizon=10.0))
@@ -715,6 +720,24 @@ class TestContinuousExtension:
         drift = np.asarray(m.drift(seg))
         out = continuous_extension(rec2, m, zeroed, 3 * rec.step + grid.step_fine)
         assert out == pytest.approx(rec2.states[3] + drift * grid.step_fine, rel=1e-13)
+
+    @pytest.mark.parametrize("offset", [4, 6])
+    def test_partial_block_sums_like_total_increment(self, offset):
+        # B(t) - B(t_k) over a partial block is added in the order of every other Brownian sum
+        m = builtin_gbm_oracle(0.5, 2.0, 1.0, tau=2.0**-3)
+        grid = generate(2, 0, 1, 2.0**-7, 1.0)
+        rec = simulate(m, SchemeConfig(step=2.0**-3, horizon=1.0), coarsen(grid, 16))
+        for k in range(8):
+            m_fine = 16 * k + offset
+            seg = segment_at(rec, k)
+            db = brownian.total_increment(grid.increments[16 * k : m_fine])
+            expected = (
+                rec.states[k]
+                + np.asarray(m.drift(seg)) * (offset * grid.step_fine)
+                + scheme._apply_noise(np.asarray(m.diffusion(seg)), db)
+            )
+            out = continuous_extension(rec, m, grid, m_fine * grid.step_fine)
+            assert np.array_equal(out, expected), k
 
     def test_off_grid_rejected(self):
         m, grid, rec = self._small_setup()
