@@ -12,7 +12,10 @@ command-line flags overriding file values.  Each key is declared once, in
 ``_KEYS`` (its ``RunConfig`` field, parser and flag help; ``ref_exponent``
 is the flag ``--ref-exponent``), and each command once, in ``_COMMANDS``
 (its default output and steps); ``RunConfig`` holds every other default.
-``nu`` takes all of b1..b4 or none (then example2's constants).  Each
+A model parameter is read by gbm (a, b, x0) or by ``nu`` (b1..b4, tau),
+as ``_PARAM_READERS`` says; passing one that neither the model nor the
+command reads is a configuration error that names it.  ``nu`` takes all
+of b1..b4 or none (then example2's constants).  Each
 command writes its CSV, then prints one summary line.  Numbers are
 serialized with 17 significant digits, and identical config + seed
 reproduces identical CSV bytes.
@@ -31,7 +34,11 @@ from . import brownian, experiments, scheme
 from .errors import ConfigurationError, DegenerateFitError, NumericalError, SfdeTemError
 from .model import MODEL_REGISTRY, get_model
 
-_PARAM_KEYS = ("a", "b", "x0", "b1", "b2", "b3", "b4", "tau")
+# model parameter -> the models and commands that read it; any other model or command rejects it
+_PARAM_READERS = {
+    **{key: ("gbm",) for key in ("a", "b", "x0")},
+    **{key: ("nu",) for key in ("b1", "b2", "b3", "b4", "tau")},
+}
 
 
 @dataclass
@@ -66,7 +73,7 @@ _KEYS = {
     "seed": ("seed", int, "int", "master seed"),
     "p": ("p_exponent", float, "float", "moment exponent p"),
     "output": ("output_path", str, "str", "CSV output path"),
-    **{key: (None, float, "float", f"model parameter {key}") for key in _PARAM_KEYS},
+    **{key: (None, float, "float", f"model parameter {key}") for key in _PARAM_READERS},
 }
 
 # command -> (default output path, default step exponents)
@@ -116,9 +123,9 @@ def parse_config(text: Optional[str] = None, overrides: Optional[Mapping[str, ob
 
     output, steps = _COMMANDS[command]
     fields = {"output_path": output, "step_exponents": steps}
-    fields.update((_KEYS[key][0], val) for key, val in values.items() if key not in _PARAM_KEYS)
+    fields.update((_KEYS[key][0], val) for key, val in values.items() if key not in _PARAM_READERS)
     fields["step_exponents"] = list(fields["step_exponents"])
-    config = RunConfig(model_params={k: values[k] for k in _PARAM_KEYS if k in values}, **fields)
+    config = RunConfig(model_params={k: values[k] for k in _PARAM_READERS if k in values}, **fields)
     _validate(config)
     return config
 
@@ -158,6 +165,15 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; writes the command's CSV, then prints one summary line."""
+    unread = [
+        key for key in config.model_params
+        if config.model_name not in _PARAM_READERS[key] and config.command not in _PARAM_READERS[key]
+    ]
+    if unread:
+        raise ConfigurationError(
+            f"model '{config.model_name}' and command '{config.command}' read no parameter "
+            + ", ".join(f"'{key}'" for key in unread)
+        )
     model = get_model(config.model_name, config.model_params)
     step0 = 2.0 ** (-config.step_exponents[0])
     header = None  # nu writes no CSV

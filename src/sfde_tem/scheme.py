@@ -30,7 +30,10 @@ short axes are summed one column at a time, ``segment._sum_last_axis``),
 and a step whose entries all lie well within radius / sqrt(n) skips the
 clip and its finiteness check.  The builtin coefficients it calls write
 cubes as products (``h * h * h``), which numpy evaluates far faster than
-``h**3``.
+``h**3``.  A driver of example1's truncated scheme with no observer hands
+its rows to a compiled step (``_CompiledEx1``, built from ``_native.c``)
+that gives the same bits; the numpy step takes every row that may clip or
+is not finite, and every other driver.
 """
 
 from __future__ import annotations
@@ -44,7 +47,16 @@ import numpy as np
 
 from .brownian import BrownianGrid, IncrementStream, _block_sums, ratio_as_int
 from .errors import ConfigurationError, NumericalError, UnsupportedPointError
-from .model import SfdeModel, clip_to_ball, truncate, truncation_radius
+from .model import (
+    _EX1_LEBESGUE,
+    SfdeModel,
+    _ex1_diffusion,
+    _ex1_drift,
+    _ex1_square,
+    clip_to_ball,
+    truncate,
+    truncation_radius,
+)
 from .segment import (
     NODE_SNAP_REL,
     Segment,
@@ -411,10 +423,30 @@ class _Driver:
         self.new = None
         # step k writes its pre-clip states into buffer k % 2, never the head's
         self.pre = np.empty((2, batch, model.dim_state))
+        self.compiled = None
         if per_step is not None:
             per_step(0, self.window.head, np.broadcast_to(raw_nodes[-1], self.window.head.shape), self.alive)
+        elif self.truncated and model.drift is _ex1_drift and model.diffusion is _ex1_diffusion:
+            from . import _native  # here, so that importing the package does not import it
+
+            step_c = _native.ex1_step()
+            if step_c is not None:
+                self.compiled = _CompiledEx1(step_c, self)
 
     def advance(self, rows) -> None:
+        compiled = self.compiled
+        if compiled is None or not compiled.reads(rows):
+            self._advance_numpy(rows)
+            return
+        done = 0
+        while done < len(rows):
+            done += compiled.take(self, rows[done:])
+            if done < len(rows):
+                # a state near or past the ball, or not finite: the numpy step clips it or raises
+                self._advance_numpy(rows[done : done + 1])
+                done += 1
+
+    def _advance_numpy(self, rows) -> None:
         model, window, per_step = self.model, self.window, self.per_step
         delta, radius, truncated, n_steps = self.delta, self.radius, self.truncated, self.n_steps
         inside = self.inside
@@ -473,6 +505,65 @@ class _Driver:
             divergence_step=self.div_step,
             initial_nodes=self.initial_nodes,
         )
+
+
+class _CompiledEx1:
+    """example1's truncated step in C (``_native.c``), for a ``_Driver`` with no observer.
+
+    ``take(driver, rows)`` steps the driver over the leading rows whose pre-clip
+    states all lie within its ``inside``, and returns how many it took;
+    the driver's numpy step takes the next row, with its clip and errors.
+    While C runs, the heads, the running integral of x^2 the diffusion
+    reads and that integral's newest node live in buffers of this object;
+    ``take`` copies them in from the driver and hands them back, so either
+    path can take the next row.  The integral's ring, when the run has one,
+    is shared.
+    """
+
+    def __init__(self, step_c, driver: _Driver):
+        window = driver.window
+        # registers the diffusion's integral term as its first read would
+        window.weighted_integral(_EX1_LEBESGUE, _ex1_square)
+        term = self.term = window._terms[(id(_EX1_LEBESGUE), id(_ex1_square))]
+        batch = window.batch
+        self.step_c = step_c
+        self.x = np.empty((batch, 1))
+        self.value, self.head = np.empty(batch), np.empty(batch)
+        samples, initial = (np.ascontiguousarray(a, dtype=float) for a in (term.samples, term.hist.initial))
+        self._keep = (samples, initial, np.empty(batch))  # C reads them (and the scratch row) by pointer
+        ring = term.hist.ring
+        self.args = (
+            driver.n_steps, window.n_steps, driver.delta, driver.inside, term.coeff, window.step,
+            samples.ctypes.data, initial.ctypes.data, None if ring is None else ring.ctypes.data,
+            self.x.ctypes.data, self.value.ctypes.data, self.head.ctypes.data, self._keep[2].ctypes.data,
+        )
+
+    def reads(self, rows) -> bool:
+        """Whether ``rows`` is a (L, B, 1) float64 array that C can read through its strides."""
+        return (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.float64
+            and rows.shape[1:] == self.x.shape
+            and rows.flags.aligned
+            and rows.strides[0] % 8 == 0
+            and rows.strides[1] % 8 == 0
+        )
+
+    def take(self, driver: _Driver, rows: np.ndarray) -> int:
+        window, term = driver.window, self.term
+        np.copyto(self.x, window.head)
+        np.copyto(self.value, term.value)
+        np.copyto(self.head, term.head)
+        taken = self.step_c(
+            len(rows), len(self.x), rows.ctypes.data, rows.strides[0] // 8, rows.strides[1] // 8,
+            driver.k, *self.args,
+        )
+        if taken:
+            driver.k += taken
+            window.shifts = min(driver.k, driver.n_steps - 1)
+            window.head = driver.new = self.x
+            term.value, term.head = self.value, self.head
+        return taken
 
 
 def _run_batch(

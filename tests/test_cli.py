@@ -224,6 +224,25 @@ class TestMainExitCodes:
         assert main(["nu", "--tau", "0.25"]) == 0
         assert capsys.readouterr().out.startswith("nu=")
 
+    def test_unread_model_parameter_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--model", "example1", "--tau", "0.25", "--a", "7", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and "'a', 'tau'" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["convergence", "--model", "gbm", "--a", "0.5", "--steps", "5", "--ref-exponent", "7",
+             "--horizon", "1", "--samples", "100"],
+            ["nu", "--tau", "0.3"],
+        ],
+        ids=["read_by_model", "read_by_command"],
+    )
+    def test_parameter_read_by_model_or_command_accepted(self, args, tmp_path):
+        assert main(args + ["--output", str(tmp_path / "out.csv")]) == 0
+
     def test_success_exit_zero(self, tmp_path):
         code = main(
             ["simulate", "--model", "gbm", "--a", "0", "--b", "0", "--steps", "5",
