@@ -127,6 +127,8 @@ def _bit_generators(seed: int, first: int, count: int) -> list:
     They share one key, re-pointed before each is built; a Philox
     copies its key words when it is built and never reads them again.
     """
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
     key = _key_type()(seed, first)
     bits = []
     for replica in range(first, first + count):

@@ -203,8 +203,8 @@ def moment_estimate(
     Classic-scheme replicas that diverge are dropped from the estimate from
     their divergence step onward and counted separately.
     """
-    if p_exponent < 2:
-        raise ConfigurationError(f"moment exponent must be >= 2, got {p_exponent}")
+    if not 2 <= p_exponent < math.inf:
+        raise ConfigurationError(f"moment exponent must be finite and >= 2, got {p_exponent}")
     if samples < MIN_SAMPLES:
         raise ConfigurationError(f"moment_estimate needs at least {MIN_SAMPLES} samples, got {samples}")
     delta, n_hist, n_steps = resolve_grid(model, config)
@@ -257,8 +257,8 @@ def stability_decay(
     final ``tail_fraction`` of [0, T]; moment estimates below 1e-300 are
     clamped, flagged, and excluded from the fit.
     """
-    if p_exponent <= 0:
-        raise ConfigurationError(f"moment exponent must be positive, got {p_exponent}")
+    if not 0 < p_exponent < math.inf:
+        raise ConfigurationError(f"moment exponent must be positive and finite, got {p_exponent}")
     if samples < MIN_SAMPLES:
         raise ConfigurationError(f"stability_decay needs at least {MIN_SAMPLES} samples, got {samples}")
     if not 0.0 < tail_fraction <= 1.0:
@@ -327,8 +327,8 @@ def admissible_nu(b1: float, b2: float, b3: float, b4: float, p_exponent: float,
         raise ValueError(f"need b1 > b2 >= 0, got b1={b1}, b2={b2}")
     if not (b3 > b4 >= 0.0):
         raise ValueError(f"need b3 > b4 >= 0, got b3={b3}, b4={b4}")
-    if p_exponent < 2:
-        raise ValueError(f"moment exponent must be >= 2, got {p_exponent}")
+    if not 2 <= p_exponent < math.inf:
+        raise ValueError(f"moment exponent must be finite and >= 2, got {p_exponent}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
 

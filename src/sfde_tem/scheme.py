@@ -22,8 +22,9 @@ the coefficients read before the first step is a running trapezoid sum,
 sliding in O(1) per step; it keeps its transformed states, and recomputes
 its sum from them every N steps, only if a simulated state leaves the
 weight's support.  Every other integral read is a full quadrature.
-``_Driver`` steps a batch over blocks of increment rows; ``_run_batch``
-runs one over a whole array or stream.  A step costs a fixed handful of
+``_Driver`` steps a batch over blocks of increment rows, through a window
+that owns the run's state; ``_run_batch`` runs one over a whole array or
+stream.  A step costs a fixed handful of
 whole-batch array operations, so the driver keeps per-step overhead down:
 no numpy loop over a short trailing axis (the noise is contracted and
 short axes are summed one column at a time, ``segment._sum_last_axis``),
@@ -192,17 +193,16 @@ class _IntegralTerm:
     then ``value`` is also recomputed from it every N shifts (``resync``),
     so rounding carried over from values that have left the window does not
     pile up.  ``head`` is the transformed newest node, never a view of the
-    window.
+    window.  ``samples`` come from the window's cache (``_node_weights``).
     """
 
-    __slots__ = ("weight", "transform", "samples", "coeff", "m_node", "hist", "head", "value")
+    __slots__ = ("transform", "samples", "coeff", "m_node", "hist", "head", "value")
 
     def __init__(self, weight: WeightFunction, transform, m_node: int, window: "_SlidingWindow"):
-        # the window finds terms by the ids of this pair: holding both keeps
-        # a later object from taking either id while the term is registered
-        self.weight = weight
+        # the window finds terms by the ids of this pair: the term holds the transform,
+        # the sample cache the weight, so no later object takes either id during the run
         self.transform = transform
-        self.samples = node_weights(weight, window.tau, window.n_steps)
+        self.samples = window._node_weights(weight)
         self.coeff = weight.plateau * window.step * 0.5
         self.m_node = m_node
         # every replica still holds the initial nodes: one value serves them all
@@ -256,10 +256,12 @@ class _IntegralTerm:
 class _SlidingWindow:
     """History window of a batch over a run of K steps, presenting the Segment evaluation surface.
 
+    It owns the batch's run state: ``shifts`` of ``run_steps`` (K) taken,
+    the (B, n) newest states ``head``, ``n_steps`` (N) and ``step`` (Delta).
     Logical node j (0 = oldest, N = head) after s shifts is grid index
-    s - N + j of ``hist``, on the (N+1, n) initial data.  ``head`` is the
-    (B, n) newest node.  Shifting takes in the new head, then updates every
-    registered integral term.
+    s - N + j of ``hist``, on the (N+1, n) initial data.  ``shift`` takes in
+    every step's states, then updates every registered integral term, but
+    not on the last shift: nothing reads the history after the last step.
 
     Until ``hist`` has a ring, a shift keeps the new head as it is, without
     a copy (the driver builds each step's states afresh).  The first read
@@ -271,9 +273,9 @@ class _SlidingWindow:
 
     Integral terms are registered by the identity of their (weight,
     transform) pair, for a constant or boxcar weight read before the first
-    shift.  Every other read is one full quadrature, so the registry cannot
-    grow during a run; the node samples of a weight such a read first meets
-    before the first shift are kept for the run, by the weight's identity.
+    shift (``running_term``).  Every other read is one full quadrature, so
+    the registry cannot grow during a run; the node samples of a weight
+    first met before the first shift are kept for the run, by its identity.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float, run_steps: int):
@@ -310,19 +312,24 @@ class _SlidingWindow:
     def lerp_eval(self, theta: float) -> np.ndarray:
         return _lerp(self, theta, self._node)
 
-    def weighted_integral(self, weight: WeightFunction, transform):
+    def running_term(self, weight: WeightFunction, transform) -> Optional[_IntegralTerm]:
+        """The pair's running integral, registered on its first read before the first shift, else None."""
         key = (id(weight), id(transform))
         term = self._terms.get(key)
+        if term is None and not self.shifts:
+            m = _IntegralTerm.sliding_node(weight, self)
+            if m is not None:
+                term = self._terms[key] = _IntegralTerm(weight, transform, m, self)
+        return term
+
+    def weighted_integral(self, weight: WeightFunction, transform):
+        term = self.running_term(weight, transform)
         if term is not None:
             return term.value
-        m = None if self.shifts else _IntegralTerm.sliding_node(weight, self)
-        if m is None:
-            # a full trapezoid over every replica's window
-            self._store_states("a full quadrature of the history")
-            h = _apply_transform(transform, self.hist.window_at(self.shifts))
-            return _trapezoid_sum(h * self._node_weights(weight)[:, None], self.step, axis=0)
-        term = self._terms[key] = _IntegralTerm(weight, transform, m, self)
-        return term.value
+        # a full trapezoid over every replica's window
+        self._store_states("a full quadrature of the history")
+        h = _apply_transform(transform, self.hist.window_at(self.shifts))
+        return _trapezoid_sum(h * self._node_weights(weight)[:, None], self.step, axis=0)
 
     def _node_weights(self, weight: WeightFunction) -> np.ndarray:
         """``node_weights`` of a weight, sampled once for the run if first read before the first shift."""
@@ -337,9 +344,10 @@ class _SlidingWindow:
     def shift(self, new_states: np.ndarray) -> None:
         self.shifts += 1
         self.head = new_states if self.hist.ring is None else self.hist.put(self.shifts, new_states)
-        resync = self.shifts % self.n_steps == 0
-        for term in self._terms.values():
-            term.shift(self, resync)
+        if self.shifts < self.run_steps:  # nothing reads the history after the last step
+            resync = self.shifts % self.n_steps == 0
+            for term in self._terms.values():
+                term.shift(self, resync)
 
 
 def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:
@@ -389,7 +397,8 @@ class _Driver:
     ``per_step`` at k = 0; each ``advance(rows)`` takes one step per (B, d)
     row of ``rows``, and ``result()`` returns the outcome once all K steps
     are taken.  The caller hands over exactly K rows in all; a block's rows
-    are read only while its ``advance`` runs.
+    are read only while its ``advance`` runs.  The window holds the step
+    count, the newest states, K and Delta; the driver the per-replica tallies.
     """
 
     def __init__(
@@ -403,8 +412,6 @@ class _Driver:
     ):
         delta, n_hist, n_steps = resolve_grid(model, config)
         self.model = model
-        self.delta = delta
-        self.n_steps = n_steps
         self.per_step = per_step
         self.replica_offset = replica_offset
         self.radius = truncation_radius(model.gamma, delta)
@@ -414,13 +421,11 @@ class _Driver:
         # float, so a non-finite state still meets the check
         self.inside = 0.999 * min(self.radius, sys.float_info.max) / math.sqrt(model.dim_state)
         self.truncated = config.variant == TRUNCATED_EM
-        self.initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
-        self.window = _SlidingWindow(self.initial_nodes, batch, model.tau, n_steps)
+        initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
+        self.window = _SlidingWindow(initial_nodes, batch, model.tau, n_steps)
         self.hits = np.zeros(batch, dtype=np.int64)
         self.alive = np.ones(batch, dtype=bool)
         self.div_step = np.full(batch, -1, dtype=np.int64)
-        self.k = 0
-        self.new = None
         # step k writes its pre-clip states into buffer k % 2, never the head's
         self.pre = np.empty((2, batch, model.dim_state))
         self.compiled = None
@@ -431,7 +436,7 @@ class _Driver:
 
             step_c = _native.ex1_step()
             if step_c is not None:
-                self.compiled = _CompiledEx1(step_c, self)
+                self.compiled = _CompiledEx1(step_c, self.window, self.inside)
 
     def advance(self, rows) -> None:
         compiled = self.compiled
@@ -440,7 +445,7 @@ class _Driver:
             return
         done = 0
         while done < len(rows):
-            done += compiled.take(self, rows[done:])
+            done += compiled.take(rows[done:])
             if done < len(rows):
                 # a state near or past the ball, or not finite: the numpy step clips it or raises
                 self._advance_numpy(rows[done : done + 1])
@@ -448,13 +453,12 @@ class _Driver:
 
     def _advance_numpy(self, rows) -> None:
         model, window, per_step = self.model, self.window, self.per_step
-        delta, radius, truncated, n_steps = self.delta, self.radius, self.truncated, self.n_steps
-        inside = self.inside
-        hits, alive, div_step, k, new, pres = self.hits, self.alive, self.div_step, self.k, self.new, self.pre
+        delta, radius, truncated, inside = window.step, self.radius, self.truncated, self.inside
+        hits, alive, div_step, pres = self.hits, self.alive, self.div_step, self.pre
         g_shape = (window.batch, model.dim_state, model.dim_noise)
         with np.errstate(over="ignore", invalid="ignore"):
             for db in rows:
-                head = window.head
+                head, k = window.head, window.shifts
                 f = np.asarray(model.drift(window))
                 g = np.asarray(model.diffusion(window))
                 if f.shape != head.shape:
@@ -486,46 +490,42 @@ class _Driver:
                         div_step[newly_dead] = k + 1
                     new = np.where(alive[..., None], pre, head)
                     alive = alive & finite
-                k += 1
-                if k < n_steps:
-                    # nothing reads the history after the last step: its integral
-                    # terms are neither updated nor evaluated on the final state
-                    window.shift(new)
+                window.shift(new)
                 if per_step is not None:
-                    per_step(k, new, pre, alive)
-        self.k, self.new, self.alive = k, new, alive
+                    per_step(k + 1, window.head, pre, alive)
+        self.alive = alive
 
     def result(self) -> BatchResult:
-        if self.k != self.n_steps:
-            raise ConfigurationError(f"driver took {self.k} of {self.n_steps} steps")
+        window = self.window
+        if window.shifts != window.run_steps:
+            raise ConfigurationError(f"driver took {window.shifts} of {window.run_steps} steps")
         return BatchResult(
-            terminal=np.array(self.new),
+            terminal=np.array(window.head),
             truncation_hits=self.hits,
             diverged=~self.alive,
             divergence_step=self.div_step,
-            initial_nodes=self.initial_nodes,
+            initial_nodes=window.hist.initial,
         )
 
 
 class _CompiledEx1:
     """example1's truncated step in C (``_native.c``), for a ``_Driver`` with no observer.
 
-    ``take(driver, rows)`` steps the driver over the leading rows whose pre-clip
-    states all lie within its ``inside``, and returns how many it took;
-    the driver's numpy step takes the next row, with its clip and errors.
-    While C runs, the heads, the running integral of x^2 the diffusion
-    reads and that integral's newest node live in buffers of this object;
-    ``take`` copies them in from the driver and hands them back, so either
-    path can take the next row.  The integral's ring, when the run has one,
-    is shared.
+    ``take(rows)`` steps the window over the leading rows whose pre-clip
+    states all lie within ``inside``, and returns how many it took; the
+    driver's numpy step takes the next row, with its clip and errors.  While
+    C runs, the heads, the running integral of x^2 the diffusion reads and
+    its newest node live in buffers of this object; ``take`` copies them in
+    from the window and hands them back, adding the rows to ``shifts``, so
+    either path can take the next row.  The integral's ring, if any, is
+    shared; like ``shift``, C updates no integral on the last step.
     """
 
-    def __init__(self, step_c, driver: _Driver):
-        window = driver.window
+    def __init__(self, step_c, window: _SlidingWindow, inside: float):
         # registers the diffusion's integral term as its first read would
-        window.weighted_integral(_EX1_LEBESGUE, _ex1_square)
-        term = self.term = window._terms[(id(_EX1_LEBESGUE), id(_ex1_square))]
+        term = self.term = window.running_term(_EX1_LEBESGUE, _ex1_square)
         batch = window.batch
+        self.window = window
         self.step_c = step_c
         self.x = np.empty((batch, 1))
         self.value, self.head = np.empty(batch), np.empty(batch)
@@ -533,7 +533,7 @@ class _CompiledEx1:
         self._keep = (samples, initial, np.empty(batch))  # C reads them (and the scratch row) by pointer
         ring = term.hist.ring
         self.args = (
-            driver.n_steps, window.n_steps, driver.delta, driver.inside, term.coeff, window.step,
+            window.run_steps, window.n_steps, window.step, inside, term.coeff, window.step,
             samples.ctypes.data, initial.ctypes.data, None if ring is None else ring.ctypes.data,
             self.x.ctypes.data, self.value.ctypes.data, self.head.ctypes.data, self._keep[2].ctypes.data,
         )
@@ -549,19 +549,18 @@ class _CompiledEx1:
             and rows.strides[1] % 8 == 0
         )
 
-    def take(self, driver: _Driver, rows: np.ndarray) -> int:
-        window, term = driver.window, self.term
+    def take(self, rows: np.ndarray) -> int:
+        window, term = self.window, self.term
         np.copyto(self.x, window.head)
         np.copyto(self.value, term.value)
         np.copyto(self.head, term.head)
         taken = self.step_c(
             len(rows), len(self.x), rows.ctypes.data, rows.strides[0] // 8, rows.strides[1] // 8,
-            driver.k, *self.args,
+            window.shifts, *self.args,
         )
         if taken:
-            driver.k += taken
-            window.shifts = min(driver.k, driver.n_steps - 1)
-            window.head = driver.new = self.x
+            window.shifts += taken
+            window.head = self.x
             term.value, term.head = self.value, self.head
         return taken
 

@@ -43,6 +43,14 @@ class TestGenerate:
         with pytest.raises(ConfigurationError):
             generate(0, 0, 1, 0.3, 1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=f"seed .* got {seed}"):
+            generate(seed, 0, 1, 2.0**-5, 1.0)
+
+    def test_largest_seed_runs(self):
+        assert generate(2**64 - 1, 0, 1, 2.0**-5, 1.0).increments.shape == (32, 1)
+
     def test_sample_moments(self):
         step = 2.0**-4
         draws = sample_increments(99, 3, 1, step, 10**6)[:, 0]

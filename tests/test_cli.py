@@ -214,6 +214,29 @@ class TestMainExitCodes:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nu", "--p", "nan"],
+            ["moments", "--samples", "100", "--horizon", "1", "--p", "nan"],
+            ["stability", "--p", "nan"],
+        ],
+        ids=["nu", "moments", "stability"],
+    )
+    def test_non_finite_exponent_exit_two(self, args, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(args + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and "moment exponent" in captured.err
+
+    def test_seed_outside_key_range_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--horizon", "1", "--seed", str(2**64), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and "seed" in captured.err
+
     def test_partial_nu_constants_exit_two(self, capsys):
         assert main(["nu", "--b1", "30"]) == 2
         captured = capsys.readouterr()

@@ -68,6 +68,12 @@ class TestStrongError:
         assert table.degenerate
         assert table.fitted_slope is None
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match=f"seed .* got {seed}"):
+            strong_error(m, [2.0**-5], 2.0**-7, 1.0, 100, seed)
+
     def test_single_step_returns_table_without_slope(self):
         a, b, x0 = 1.0, 0.5, 1.0
         m = builtin_gbm_oracle(a, b, x0)
@@ -321,6 +327,12 @@ class TestMomentEstimate:
         with pytest.raises(ConfigurationError):
             moment_estimate(m, SchemeConfig(2.0**-5, 1.0), 1.0, 100, 0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent(self, p):
+        m = builtin_gbm_oracle(0.0, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="moment exponent"):
+            moment_estimate(m, SchemeConfig(2.0**-5, 1.0), p, 100, 0)
+
     def test_replica_grouping_invariance(self, monkeypatch):
         # the estimator is a mean over replicas: regrouping only reassociates sums;
         # N = 1 history step and K = 32, so 2 ring entries per replica
@@ -359,6 +371,12 @@ class TestStabilityDecay:
         m = builtin_gbm_oracle(-1.0, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
             stability_decay(m, SchemeConfig(2.0**-5, 1.0), 2.0, 100, 0, tail_fraction=0.0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent(self, p):
+        m = builtin_gbm_oracle(-1.0, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="moment exponent"):
+            stability_decay(m, SchemeConfig(2.0**-5, 1.0), p, 100, 0)
 
 
 class TestColumnSums:
@@ -422,6 +440,11 @@ class TestAdmissibleNu:
             admissible_nu(1.0, 1.0, 2.0, 0.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             admissible_nu(2.0, 0.0, 1.0, 1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="moment exponent"):
+            admissible_nu(11.0 / 4.0, 1.0 / 4.0, 15.0 / 4.0, 3.0 / 4.0, p, 0.5)
 
 
 class TestPhiDiagnostic:

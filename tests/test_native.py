@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfde_tem import _native, scheme
 from sfde_tem.brownian import sample_increments
-from sfde_tem.errors import NumericalError
+from sfde_tem.errors import ConfigurationError, NumericalError
 from sfde_tem.model import _ex1_drift, builtin_example1, builtin_example2, builtin_gbm_oracle
 from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _Driver
 
@@ -64,7 +64,7 @@ class TestBitForBit:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_hist=st.integers(3, 64),
-        horizon=st.sampled_from(["within", "one_past", "two_resyncs"]),
+        horizon=st.sampled_from(["within", "one_past", "ends_on_resync", "two_resyncs"]),
         data=st.data(),
         batch=st.sampled_from([1, 2, 3, 7, 16, 33]),
         layout=st.sampled_from(["replica_major", "time_major"]),
@@ -73,11 +73,13 @@ class TestBitForBit:
     def test_matches_numpy_driver(self, seed, n_hist, horizon, data, batch, layout, far):
         # steps 1/2N, dyadic (2^-3..2^-7) or not, where a fused multiply-add
         # would round differently; K <= N runs without a ring, K = N + 1 wraps
-        # it once and resyncs once, K > 2N resyncs at least twice
+        # it once and resyncs once, K in {N, 2N, 3N} ends on a resync step,
+        # which nothing reads, and K > 2N resyncs at least twice
         step = 0.5 / n_hist
         n_steps = {
             "within": data.draw(st.integers(1, n_hist)),
             "one_past": n_hist + 1,
+            "ends_on_resync": data.draw(st.sampled_from([1, 2, 3])) * n_hist,
             "two_resyncs": data.draw(st.integers(2 * n_hist + 1, 4 * n_hist)),
         }[horizon]
         block = data.draw(st.integers(1, n_steps))
@@ -112,6 +114,22 @@ class TestBitForBit:
             contexts.append(info.value.context)
         assert contexts[0] == contexts[1]
         assert (contexts[0]["replica"], contexts[0]["step"]) == (5 + 4, n_steps - 2)
+
+
+class TestRunLength:
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("n_steps", [16, 21], ids=["K=N", "K>N"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_over"])
+    def test_result_rejects_a_wrong_row_count(self, request, compiled, n_steps, extra):
+        # N = 16: one row short of K or one row past it, on both paths, and
+        # the count taken in the error
+        if compiled:
+            request.getfixturevalue("compiled_step")
+        step = 2.0**-5
+        config = SchemeConfig(step=step, horizon=n_steps * step)
+        rows = _increments(6, 4, step, n_steps + extra, "time_major")
+        with pytest.raises(ConfigurationError, match=rf"took {n_steps + extra} of {n_steps} steps"):
+            _drive(builtin_example1(), config, rows, 5, compiled)
 
 
 class TestOnlyQualifyingDrivers:

@@ -488,6 +488,42 @@ class TestHistoryStorageBoundary:
         assert res.terminal.tobytes() == again.terminal.tobytes()
         assert np.array_equal(res.truncation_hits, again.truncation_hits)
 
+    @pytest.mark.parametrize("k_case", ["2", "N+1", "2N+1"])
+    def test_running_term_weight_sampled_once_per_run(self, monkeypatch, k_case):
+        # a constant weight read by a running term from step 1 (the diffusion)
+        # and, with a second transform first read at step 2, by full quadrature
+        # (the drift): the quadrature takes the samples the term took, so the
+        # weight is sampled N+1 times in the run, and the terminals equal those
+        # of a window that samples it on every read
+        n = _STORAGE_N
+        n_steps = {"2": 2, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
+        evals, calls = [], []
+        flat = WeightFunction(eval=lambda theta: evals.append(theta) or 1.0, kind="constant", plateau=1.0)
+
+        def drift(seg):
+            calls.append(None)
+            h = seg.head[..., 0]
+            late = np.asarray(seg.weighted_integral(flat, _first)) if len(calls) > 1 else 0.0
+            return (h - h * h * h + late)[..., None]
+
+        def diffusion(seg):
+            return 0.5 * np.asarray(seg.weighted_integral(flat, _square))[..., None, None]
+
+        step = 2.0**-5
+        m = dataclasses.replace(builtin_example1(), drift=drift, diffusion=diffusion)
+        cfg = SchemeConfig(step=step, horizon=n_steps * step)
+        inc = np.stack([sample_increments(23, r, 1, step, n_steps) for r in range(3)])
+        res = _run_batch(m, cfg, inc)
+        assert len(evals) == n + 1
+        monkeypatch.setattr(
+            scheme._SlidingWindow, "_node_weights", lambda window, w: node_weights(w, window.tau, window.n_steps)
+        )
+        calls.clear()
+        again = _run_batch(m, cfg, inc)
+        assert len(evals) == (n + 1) * (1 + n_steps)
+        assert res.terminal.tobytes() == again.terminal.tobytes()
+        assert np.array_equal(res.truncation_hits, again.truncation_hits)
+
     def test_integral_ring_holds_only_simulated_states(self):
         # a boxcar on node m = N/2 with N = 1024, over K = N - m + 1 steps: one
         # simulated state leaves its support, so the integral keeps a ring of
