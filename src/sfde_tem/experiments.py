@@ -33,6 +33,7 @@ from .segment import Segment, _sum_last_axis, constant_weight
 RING_ENTRIES = 2**22
 MOMENT_FLOOR = 1e-300
 MIN_SAMPLES = 100
+OBSERVE_FLOATS = 2**14
 
 
 @dataclass
@@ -182,6 +183,23 @@ def fit_rate(table: ErrorTable) -> float:
     return float(slope)
 
 
+def _in_slices(observe: Callable) -> Callable:
+    """The block observer ``observe``, handed its block in slices of whole steps of at most ``OBSERVE_FLOATS`` states.
+
+    The observers reduce one step at a time, so slices give the same bytes
+    as the whole block; they only keep the temporaries small: a few hundred
+    KB, where a whole block's would add about 1.5 MB at criterion 5's shape
+    (65 steps of 1000 two-dimensional replicas).
+    """
+
+    def call(k0, states, alive):
+        rows = max(1, OBSERVE_FLOATS // max(1, math.prod(states.shape[1:])))
+        for lo in range(0, len(states), rows):
+            observe(k0 + lo, states[lo : lo + rows], alive[lo : lo + rows])
+
+    return call
+
+
 def _report_index(n_steps: int, report_every: int) -> np.ndarray:
     """Grid indices 0, r, 2r, ... of the reported points, always ending at the last index K."""
     idx = np.arange(0, n_steps + 1, max(1, int(report_every)))
@@ -214,18 +232,22 @@ def moment_estimate(
     counts = np.zeros(n_steps + 1, dtype=np.int64)
     diverged = 0
 
-    def observe(k, states, pre, alive):
+    @_in_slices
+    def observe(k0, states, alive):
+        # each step's row is reduced as a (B,) array would be: numpy sums a
+        # C-order row pairwise whether or not other rows lie before it
+        rows = slice(k0, k0 + len(states))
         pow_p = _sum_last_axis(states * states) ** (0.5 * p_exponent)
         if classic:
             pow_p = np.where(alive, pow_p, 0.0)
-            counts[k] += int(alive.sum())
+            counts[rows] += alive.sum(axis=1)
         else:
-            counts[k] += states.shape[0]
-        sums[k] += float(pow_p.sum())
+            counts[rows] += states.shape[1]
+        sums[rows] += pow_p.sum(axis=1)
 
     for start, count in _batches(samples, n_hist, model.dim_state, n_steps):
         inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
-        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
+        res = _run_batch(model, config, inc, per_block=observe, replica_offset=start)
         diverged += int(res.diverged.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         estimates = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -269,13 +291,15 @@ def stability_decay(
     sums_state = np.zeros((n_steps + 1, model.dim_state))
     terminal_norms = np.empty(samples)
 
-    def observe(k, states, pre, alive):
-        sums_p[k] += float((_sum_last_axis(states * states) ** (0.5 * p_exponent)).sum())
-        sums_state[k] += _column_sums(states)
+    @_in_slices
+    def observe(k0, states, alive):
+        rows = slice(k0, k0 + len(states))
+        sums_p[rows] += (_sum_last_axis(states * states) ** (0.5 * p_exponent)).sum(axis=1)
+        sums_state[rows] += _column_sums(states)
 
     for start, count in _batches(samples, n_hist, model.dim_state, n_steps):
         inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
-        res = _run_batch(model, config, inc, per_step=observe, replica_offset=start)
+        res = _run_batch(model, config, inc, per_block=observe, replica_offset=start)
         terminal_norms[start : start + count] = np.sqrt(np.sum(res.terminal**2, axis=-1))
 
     moments = sums_p / samples
@@ -304,16 +328,16 @@ def stability_decay(
 
 
 def _column_sums(states: np.ndarray) -> np.ndarray:
-    """``states.sum(axis=0)`` of (B, n) states, bit for bit.
+    """``states[l].sum(axis=0)`` for each l of (L, B, n) states, bit for bit, stacked to (L, n).
 
-    numpy sums a C-order array of n >= 2 columns down axis 0 one row after
-    another, starting from 0.0, but loops over the short rows to do it; one
-    accumulation gives the same bytes in one pass.  Other layouts, and a
-    single column, are summed pairwise, so they keep ``sum``.
+    numpy sums a C-order (B, n) array of n >= 2 columns down axis 0 one row
+    after another, starting from 0.0, but loops over the short rows to do
+    it; one accumulation gives the same bytes in one pass.  Other layouts,
+    and a single column, are summed pairwise, so each step keeps ``sum``.
     """
-    if states.ndim == 2 and len(states) and states.shape[1] > 1 and states.flags.c_contiguous:
-        return 0.0 + np.add.accumulate(states, axis=0)[-1]
-    return states.sum(axis=0)
+    if states.shape[1] and states.shape[2] > 1 and states.flags.c_contiguous:
+        return 0.0 + np.add.accumulate(states, axis=1)[:, -1]
+    return np.array([step.sum(axis=0) for step in states]).reshape(len(states), states.shape[2])
 
 
 def admissible_nu(b1: float, b2: float, b3: float, b4: float, p_exponent: float, tau: float) -> float:

@@ -31,10 +31,12 @@ short axes are summed one column at a time, ``segment._sum_last_axis``),
 and a step whose entries all lie well within radius / sqrt(n) skips the
 clip and its finiteness check.  The builtin coefficients it calls write
 cubes as products (``h * h * h``), which numpy evaluates far faster than
-``h**3``.  A driver of example1's truncated scheme with no observer hands
-its rows to a compiled step (``_CompiledEx1``, built from ``_native.c``)
-that gives the same bits; the numpy step takes every row that may clip or
-is not finite, and every other driver.
+``h**3``.  A driver of example1's or example2's truncated scheme hands its
+rows to a compiled step (``_Compiled``, built from ``_native.c``) that
+gives the same bits, clip and hit counts included; the numpy step takes
+every row in which a state is not finite or has a squared norm that
+overflows, and every other driver.  An observer (``per_block``) is handed
+the states of each block of rows at once, from a buffer both steps write.
 """
 
 from __future__ import annotations
@@ -46,18 +48,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import model as _models
 from .brownian import BrownianGrid, IncrementStream, _block_sums, ratio_as_int
 from .errors import ConfigurationError, NumericalError, UnsupportedPointError
-from .model import (
-    _EX1_LEBESGUE,
-    SfdeModel,
-    _ex1_diffusion,
-    _ex1_drift,
-    _ex1_square,
-    clip_to_ball,
-    truncate,
-    truncation_radius,
-)
+from .model import SfdeModel, clip_to_ball, truncate, truncation_radius
 from .segment import (
     NODE_SNAP_REL,
     Segment,
@@ -107,14 +101,12 @@ def resolve_grid(model: SfdeModel, config: SchemeConfig):
 class PathRecord:
     """One simulated path: post-truncation states on the grid t_k = k Delta.
 
-    ``pre_truncation[k]`` holds the pre-clip value (the raw initial head at
-    k = 0); ``initial_nodes`` are the truncated initial-data nodes, kept so
-    history segments can be reconstructed at any grid time.
+    ``initial_nodes`` are the truncated initial-data nodes, kept so history
+    segments can be reconstructed at any grid time.
     """
 
     times: np.ndarray
     states: np.ndarray
-    pre_truncation: np.ndarray
     truncation_hits: int
     diverged: bool
     divergence_step: Optional[int]
@@ -353,17 +345,13 @@ class _SlidingWindow:
 def init_segment(model: SfdeModel, config: SchemeConfig) -> Segment:
     """Truncated initial-data segment: node j holds clip(xi((j - N) Delta))."""
     delta, n_hist, _ = resolve_grid(model, config)
-    nodes, _ = _initial_nodes(model, delta, n_hist)
-    return Segment(nodes, model.tau)
+    return Segment(_initial_nodes(model, delta, n_hist), model.tau)
 
 
-def _initial_nodes(model: SfdeModel, delta: float, n_hist: int, truncated: bool = True):
+def _initial_nodes(model: SfdeModel, delta: float, n_hist: int, truncated: bool = True) -> np.ndarray:
     # the classic scheme clips nothing, including its initial data
     raw = model.initial_path([(j - n_hist) * delta for j in range(n_hist + 1)])
-    if not truncated:
-        return raw, raw
-    radius = truncation_radius(model.gamma, delta)
-    return truncate(raw, radius), raw
+    return truncate(raw, truncation_radius(model.gamma, delta)) if truncated else raw
 
 
 def tem_step(model: SfdeModel, seg, db, radius: float):
@@ -394,11 +382,13 @@ class _Driver:
     """Steps a batch of replicas through one run, a block of increment rows at a time.
 
     Building the driver sets up the window on the initial data and calls
-    ``per_step`` at k = 0; each ``advance(rows)`` takes one step per (B, d)
-    row of ``rows``, and ``result()`` returns the outcome once all K steps
-    are taken.  The caller hands over exactly K rows in all; a block's rows
-    are read only while its ``advance`` runs.  The window holds the step
-    count, the newest states, K and Delta; the driver the per-replica tallies.
+    ``per_block`` at k = 0; each ``advance(rows)`` takes one step per (B, d)
+    row of ``rows``, then calls ``per_block`` once with the states of those
+    steps, and ``result()`` returns the outcome once all K steps are taken.
+    The caller hands over exactly K rows in all; a block's rows are read
+    only while its ``advance`` runs.  The window holds the step count, the
+    newest states, K and Delta; the driver the per-replica tallies and the
+    block buffers an observer reads, which both steps write.
     """
 
     def __init__(
@@ -407,12 +397,12 @@ class _Driver:
         config: SchemeConfig,
         batch: int,
         *,
-        per_step: Optional[Callable] = None,
+        per_block: Optional[Callable] = None,
         replica_offset: int = 0,
     ):
         delta, n_hist, n_steps = resolve_grid(model, config)
         self.model = model
-        self.per_step = per_step
+        self.per_block = per_block
         self.replica_offset = replica_offset
         self.radius = truncation_radius(model.gamma, delta)
         # a step whose entries all lie within ``inside`` has norms within the
@@ -421,43 +411,51 @@ class _Driver:
         # float, so a non-finite state still meets the check
         self.inside = 0.999 * min(self.radius, sys.float_info.max) / math.sqrt(model.dim_state)
         self.truncated = config.variant == TRUNCATED_EM
-        initial_nodes, raw_nodes = _initial_nodes(model, delta, n_hist, truncated=self.truncated)
-        self.window = _SlidingWindow(initial_nodes, batch, model.tau, n_steps)
+        self.window = _SlidingWindow(
+            _initial_nodes(model, delta, n_hist, truncated=self.truncated), batch, model.tau, n_steps
+        )
         self.hits = np.zeros(batch, dtype=np.int64)
         self.alive = np.ones(batch, dtype=bool)
         self.div_step = np.full(batch, -1, dtype=np.int64)
         # step k writes its pre-clip states into buffer k % 2, never the head's
         self.pre = np.empty((2, batch, model.dim_state))
-        self.compiled = None
-        if per_step is not None:
-            per_step(0, self.window.head, np.broadcast_to(raw_nodes[-1], self.window.head.shape), self.alive)
-        elif self.truncated and model.drift is _ex1_drift and model.diffusion is _ex1_diffusion:
-            from . import _native  # here, so that importing the package does not import it
-
-            step_c = _native.ex1_step()
-            if step_c is not None:
-                self.compiled = _CompiledEx1(step_c, self.window, self.inside)
+        # the states and alive masks of the block being stepped, grown to the longest block
+        self.states = np.empty((0, batch, model.dim_state))
+        self.alive_rows = np.ones((0, batch), dtype=bool)
+        self.compiled = _Compiled.for_driver(self) if self.truncated else None
+        if per_block is not None:
+            per_block(0, self.window.head[None], self.alive[None])
 
     def advance(self, rows) -> None:
+        observed = self.per_block is not None
+        if observed and len(self.states) < len(rows):
+            self.states = np.empty((len(rows),) + self.states.shape[1:])
+            self.alive_rows = np.ones((len(rows),) + self.alive_rows.shape[1:], dtype=bool)
+        k0 = self.window.shifts + 1
         compiled = self.compiled
         if compiled is None or not compiled.reads(rows):
             self._advance_numpy(rows)
-            return
-        done = 0
-        while done < len(rows):
-            done += compiled.take(rows[done:])
-            if done < len(rows):
-                # a state near or past the ball, or not finite: the numpy step clips it or raises
-                self._advance_numpy(rows[done : done + 1])
-                done += 1
+        else:
+            done = 0
+            while done < len(rows):
+                done += compiled.take(rows[done:], self.states[done:] if observed else None)
+                if done < len(rows):
+                    # a state that is not finite or whose squared norm overflows: the numpy step rescales it or raises
+                    self._advance_numpy(rows[done : done + 1], at=done)
+                    done += 1
+        if observed:
+            # as the steps do, the observer may meet a diverged classic replica's overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.per_block(k0, self.states[: len(rows)], self.alive_rows[: len(rows)])
 
-    def _advance_numpy(self, rows) -> None:
-        model, window, per_step = self.model, self.window, self.per_step
+    def _advance_numpy(self, rows, at: int = 0) -> None:
+        """Step the window over ``rows``, writing the states of row t to block row ``at + t`` if observed."""
+        model, window, observed = self.model, self.window, self.per_block is not None
         delta, radius, truncated, inside = window.step, self.radius, self.truncated, self.inside
         hits, alive, div_step, pres = self.hits, self.alive, self.div_step, self.pre
         g_shape = (window.batch, model.dim_state, model.dim_noise)
         with np.errstate(over="ignore", invalid="ignore"):
-            for db in rows:
+            for t, db in enumerate(rows, at):
                 head, k = window.head, window.shifts
                 f = np.asarray(model.drift(window))
                 g = np.asarray(model.diffusion(window))
@@ -491,8 +489,9 @@ class _Driver:
                     new = np.where(alive[..., None], pre, head)
                     alive = alive & finite
                 window.shift(new)
-                if per_step is not None:
-                    per_step(k + 1, window.head, pre, alive)
+                if observed:
+                    self.states[t] = window.head
+                    self.alive_rows[t] = alive
         self.alive = alive
 
     def result(self) -> BatchResult:
@@ -508,38 +507,84 @@ class _Driver:
         )
 
 
-class _CompiledEx1:
-    """example1's truncated step in C (``_native.c``), for a ``_Driver`` with no observer.
+class _Compiled:
+    """A builtin model's truncated step in C (``_native.c``), for a ``_Driver``.
 
-    ``take(rows)`` steps the window over the leading rows whose pre-clip
-    states all lie within ``inside``, and returns how many it took; the
-    driver's numpy step takes the next row, with its clip and errors.  While
-    C runs, the heads, the running integral of x^2 the diffusion reads and
-    its newest node live in buffers of this object; ``take`` copies them in
-    from the window and hands them back, adding the rows to ``shifts``, so
-    either path can take the next row.  The integral's ring, if any, is
-    shared; like ``shift``, C updates no integral on the last step.
+    ``take(rows, out)`` steps the window over the leading rows in which
+    every replica's pre-clip state lies within ``inside``, or is finite with
+    a finite squared norm (C clips it and counts the hit in the driver's
+    ``hits``), and returns how many it took; the driver's numpy step takes
+    the next row, with its rescaling and errors.  ``out``, if not None,
+    receives the states of each row taken.  While C runs, the heads and
+    each running integral's value and newest node live in buffers of this
+    object; ``take`` copies them in from the window and hands them back,
+    adding the rows to ``shifts``, so either path can take the next row.
+    The integrals' rings, if any, are shared; like ``shift``, C updates no
+    integral on the last step.
     """
 
-    def __init__(self, step_c, window: _SlidingWindow, inside: float):
-        # registers the diffusion's integral term as its first read would
-        term = self.term = window.running_term(_EX1_LEBESGUE, _ex1_square)
-        batch = window.batch
-        self.window = window
-        self.step_c = step_c
-        self.x = np.empty((batch, 1))
-        self.value, self.head = np.empty(batch), np.empty(batch)
-        samples, initial = (np.ascontiguousarray(a, dtype=float) for a in (term.samples, term.hist.initial))
-        self._keep = (samples, initial, np.empty(batch))  # C reads them (and the scratch row) by pointer
-        ring = term.hist.ring
+    def __init__(self, kernel, window: _SlidingWindow, terms, inside: float, radius: float, hits: np.ndarray):
+        from . import _native
+
+        batch, dim = window.head.shape
+        self.window, self.kernel, self.terms = window, kernel, terms
+        self.x = np.empty((batch, dim))
+        self.values = [np.empty(batch) for _ in terms]
+        self.heads = [np.empty(batch) for _ in terms]
+        # C's scratch: the pre-clip states, then a term's new nodes and resync sums
+        self.scratch = np.empty(max(dim, 2) * batch)
+        self._keep = []  # C reads these by address
+        structs = (_native.Term * len(terms))()
+        for struct, term, value, head in zip(structs, terms, self.values, self.heads):
+            samples, initial = (np.ascontiguousarray(a, dtype=float) for a in (term.samples, term.hist.initial))
+            self._keep += [samples, initial]
+            ring = term.hist.ring
+            struct.m, struct.coeff = term.m_node, term.coeff
+            struct.w, struct.initial, struct.value, struct.head = (
+                a.ctypes.data for a in (samples, initial, value, head)
+            )
+            struct.ring = None if ring is None else ring.ctypes.data
         self.args = (
-            window.run_steps, window.n_steps, window.step, inside, term.coeff, window.step,
-            samples.ctypes.data, initial.ctypes.data, None if ring is None else ring.ctypes.data,
-            self.x.ctypes.data, self.value.ctypes.data, self.head.ctypes.data, self._keep[2].ctypes.data,
+            window.run_steps, window.n_steps, window.step, inside, radius, structs,
+            self.x.ctypes.data, hits.ctypes.data,
         )
 
+    @staticmethod
+    def for_driver(driver: "_Driver") -> Optional["_Compiled"]:
+        """The compiled step of a truncated driver of example1 or example2, else None.
+
+        Chosen by the identity of the (drift, diffusion) pair.  The (weight,
+        transform) pairs its kernel hard-codes, in the kernel's order, are
+        read from the model module on every call, as the coefficients read
+        them, and each must be a running term of the window: C has no full
+        quadrature.
+        """
+        model = driver.model
+        if model.drift is _models._ex1_drift and model.diffusion is _models._ex1_diffusion:
+            name, pairs = "ex1_steps", [(_models._EX1_LEBESGUE, _models._ex1_square)]
+        elif model.drift is _models._ex2_drift and model.diffusion is _models._ex2_diffusion:
+            name, pairs = "ex2_steps", [
+                (_models._EX2_BOX, _models._ex2_second),
+                (_models._EX2_LEBESGUE, _models._ex2_first_cubed),
+            ]
+        else:
+            return None
+        terms = [driver.window.running_term(weight, transform) for weight, transform in pairs]
+        if any(term is None for term in terms):
+            return None
+        from . import _native  # here, so that importing the package does not import it
+
+        kernels = _native.kernels()
+        if kernels is None:
+            return None
+        return _Compiled(kernels[name], driver.window, terms, driver.inside, driver.radius, driver.hits)
+
     def reads(self, rows) -> bool:
-        """Whether ``rows`` is a (L, B, 1) float64 array that C can read through its strides."""
+        """Whether ``rows`` is a (L, B, n) float64 array that C can read through its strides.
+
+        Both builtins have as many noise coordinates as state coordinates,
+        the last with unit stride.
+        """
         return (
             isinstance(rows, np.ndarray)
             and rows.dtype == np.float64
@@ -547,21 +592,24 @@ class _CompiledEx1:
             and rows.flags.aligned
             and rows.strides[0] % 8 == 0
             and rows.strides[1] % 8 == 0
+            and (rows.strides[2] == 8 or rows.shape[2] == 1)
         )
 
-    def take(self, rows: np.ndarray) -> int:
-        window, term = self.window, self.term
+    def take(self, rows: np.ndarray, out: Optional[np.ndarray]) -> int:
+        window = self.window
         np.copyto(self.x, window.head)
-        np.copyto(self.value, term.value)
-        np.copyto(self.head, term.head)
-        taken = self.step_c(
+        for term, value, head in zip(self.terms, self.values, self.heads):
+            np.copyto(value, term.value)
+            np.copyto(head, term.head)
+        taken = self.kernel(
             len(rows), len(self.x), rows.ctypes.data, rows.strides[0] // 8, rows.strides[1] // 8,
-            window.shifts, *self.args,
+            window.shifts, *self.args, None if out is None else out.ctypes.data, self.scratch.ctypes.data,
         )
         if taken:
             window.shifts += taken
             window.head = self.x
-            term.value, term.head = self.value, self.head
+            for term, value, head in zip(self.terms, self.values, self.heads):
+                term.value, term.head = value, head
         return taken
 
 
@@ -570,7 +618,7 @@ def _run_batch(
     config: SchemeConfig,
     increments,
     *,
-    per_step: Optional[Callable] = None,
+    per_block: Optional[Callable] = None,
     replica_offset: int = 0,
 ) -> BatchResult:
     """Simulate a batch of replicas on increments of shape (B, K, d) with variance Delta.
@@ -578,12 +626,13 @@ def _run_batch(
     ``increments`` is an array (a transposed view of time-major (K, B, d)
     storage reads each step's row contiguously; rows past K are ignored) or
     an ``IncrementStream`` of exactly K steps, stepped over block by block.
-    ``per_step(k, states, pre, alive)`` is invoked at every grid index
-    k = 0..K with the (B, n) post-truncation states and pre-truncation
-    values (the raw initial head at k = 0); the arrays are only valid during
-    the call and must not be written to, as the states may be the window's
-    head.  All arithmetic is elementwise across the batch, so results
-    are independent of how replicas are batched.
+    ``per_block(k0, states, alive)`` is invoked once at k0 = 0 and once per
+    block of rows, with the (L, B, n) post-truncation states of grid indices
+    k0..k0+L-1 and the (L, B) mask of replicas still alive (all True in the
+    truncated variant); the arrays are only valid during the call and must
+    not be written to, as they are the driver's buffers or the window's
+    head.  All arithmetic is elementwise across the batch, so results are
+    independent of how replicas are batched.
     """
     _, _, n_steps = resolve_grid(model, config)
     if isinstance(increments, IncrementStream):
@@ -597,7 +646,7 @@ def _run_batch(
         raise ConfigurationError(f"need at least {n_steps} increments per replica, got {shape[1]}")
     if shape[2] != model.dim_noise:
         raise ConfigurationError(f"increments carry {shape[2]} coordinates, model has {model.dim_noise}")
-    driver = _Driver(model, config, shape[0], per_step=per_step, replica_offset=replica_offset)
+    driver = _Driver(model, config, shape[0], per_block=per_block, replica_offset=replica_offset)
     for block in blocks:
         driver.advance(block)
     return driver.result()
@@ -623,18 +672,15 @@ def simulate(model: SfdeModel, config: SchemeConfig, grid) -> PathRecord:
     inc = _increments_for(model, config, grid)
     delta, n_hist, n_steps = resolve_grid(model, config)
     states = np.empty((n_steps + 1, model.dim_state))
-    pre_truncation = np.empty_like(states)
 
-    def record(k, state, pre, alive):
-        states[k] = state[0]
-        pre_truncation[k] = pre[0]
+    def record(k0, block, alive):
+        states[k0 : k0 + len(block)] = block[:, 0]
 
-    res = _run_batch(model, config, inc[None], per_step=record)
+    res = _run_batch(model, config, inc[None], per_block=record)
     div = bool(res.diverged[0])
     return PathRecord(
         times=np.arange(n_steps + 1) * delta,
         states=states,
-        pre_truncation=pre_truncation,
         truncation_hits=int(res.truncation_hits[0]),
         diverged=div,
         divergence_step=int(res.divergence_step[0]) if div else None,

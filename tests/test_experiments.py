@@ -21,7 +21,7 @@ from sfde_tem.experiments import (
     strong_error,
 )
 from sfde_tem.model import builtin_example1, builtin_example2, builtin_gbm_oracle, gbm_closed_form
-from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _run_batch
+from sfde_tem.scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _run_batch
 from sfde_tem.segment import Segment, constant_segment
 from test_segment import _SPECIAL
 
@@ -380,35 +380,70 @@ class TestStabilityDecay:
 
 
 class TestColumnSums:
-    @given(st.integers(1, 40), st.integers(1, 4), st.sampled_from("CF"), st.data())
-    def test_byte_identical_to_numpy_sum_down_replicas(self, batch, n, order, data):
-        # the stability observer's per-coordinate state sums against the
-        # states.sum(axis=0) they replace, in either memory layout
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 4), st.sampled_from("CF"), st.data())
+    def test_byte_identical_to_numpy_sum_down_replicas(self, steps, batch, n, order, data):
+        # the stability observer's per-coordinate state sums of a (L, B, n)
+        # block against the states.sum(axis=0) of each step they replace, in
+        # either memory layout
         entries = st.one_of(_SPECIAL, st.floats(-1e300, 1e300))
-        values = data.draw(st.lists(entries, min_size=batch * n, max_size=batch * n))
-        states = np.asarray(np.array(values).reshape(batch, n), order=order)
+        size = steps * batch * n
+        values = data.draw(st.lists(entries, min_size=size, max_size=size))
+        states = np.asarray(np.array(values).reshape(steps, batch, n), order=order)
         with np.errstate(over="ignore", invalid="ignore"):
-            expect = states.sum(axis=0)
+            expect = np.array([step.sum(axis=0) for step in states])
             got = experiments._column_sums(states)
         nan = np.isnan(expect)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expect[~nan].tobytes()
 
     def test_byte_identical_on_driver_states(self):
-        # 1000 replicas of example2 after 40 steps, a C-order (B, 2) array of
-        # the sizes criterion 5 sums, and the broadcast initial head at k = 0
+        # 1000 replicas of example2 after 40 steps, a row of a C-order block
+        # of the sizes criterion 5 sums, and the broadcast initial head at k = 0
         m = builtin_example2()
         seen = []
 
-        def observe(k, states, pre, alive):
-            if k in (0, 40):
-                seen.append((states.sum(axis=0), experiments._column_sums(states)))
+        def observe(k0, states, alive):
+            sums = experiments._column_sums(states)
+            for i in range(len(states)):
+                if k0 + i in (0, 40):
+                    seen.append((states[i].sum(axis=0), sums[i]))
 
         cfg = SchemeConfig(2.0**-6, 40 * 2.0**-6)
-        _run_batch(m, cfg, brownian.IncrementStream(3, 0, 1000, 2, 2.0**-6, 40), per_step=observe)
+        _run_batch(m, cfg, brownian.IncrementStream(3, 0, 1000, 2, 2.0**-6, 40), per_block=observe)
         assert len(seen) == 2
         for expect, got in seen:
             assert got.tobytes() == expect.tobytes()
+
+
+class TestObserverBlocks:
+    # one step per stream block hands the observers one step at a time, as
+    # the per-step hook did; the results must keep every bit
+    @staticmethod
+    def _one_step_blocks(monkeypatch):
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 1)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 8.0])
+    @pytest.mark.parametrize("variant", [TRUNCATED_EM, CLASSIC_EM])
+    def test_moments_independent_of_block_size(self, monkeypatch, p, variant):
+        m = builtin_example1()
+        cfg = SchemeConfig(2.0**-4, 3.0, variant=variant)
+        run = lambda: moment_estimate(m, cfg, p, 150, 8)
+        blocked = run()
+        self._one_step_blocks(monkeypatch)
+        single = run()
+        assert blocked.moments.tobytes() == single.moments.tobytes()
+        assert (blocked.running_max, blocked.diverged) == (single.running_max, single.diverged)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 8.0])
+    def test_stability_independent_of_block_size(self, monkeypatch, p):
+        m = builtin_example2()
+        cfg = SchemeConfig(2.0**-5, 3.0)
+        run = lambda: stability_decay(m, cfg, p, 150, 8)
+        blocked = run()
+        self._one_step_blocks(monkeypatch)
+        single = run()
+        for name in ("log_moment", "sample_mean", "pathwise_rates"):
+            assert getattr(blocked, name).tobytes() == getattr(single, name).tobytes()
 
 
 class TestAdmissibleNu:

@@ -1,4 +1,4 @@
-"""The compiled example1 step (``_native``) against the numpy driver, bit for bit, and its build."""
+"""The compiled steps (``_native``) against the numpy driver, bit for bit, and their build."""
 
 import dataclasses
 import os
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfde_tem import _native, scheme
+from sfde_tem import model as model_module
 from sfde_tem.brownian import sample_increments
 from sfde_tem.errors import ConfigurationError, NumericalError
 from sfde_tem.model import _ex1_drift, builtin_example1, builtin_example2, builtin_gbm_oracle
@@ -24,41 +25,71 @@ def _far_start(theta):
     return np.array([9.0])  # far outside the ball at every step tried here: the first steps clip
 
 
-def _increments(seed, batch, step, n_steps, layout):
-    """(K, B, 1) rows: a transposed view of replica-major storage, as the stream hands them, or time-major."""
-    paths = np.stack([sample_increments(seed, r, 1, step, n_steps) for r in range(batch)])
+def _example2(far=False):
+    """example2, or example2 started far outside its ball (radius about 1), with the builtin coefficients."""
+    model = builtin_example2()
+    if far:
+        model = dataclasses.replace(model, initial_data=lambda theta: np.array([6.0, -6.0]))
+    return model
+
+
+def _increments(seed, batch, step, n_steps, layout, dim=1):
+    """(K, B, d) rows: a transposed view of replica-major storage, as the stream hands them, or time-major."""
+    paths = np.stack([sample_increments(seed, r, dim, step, n_steps) for r in range(batch)])
     return paths.transpose(1, 0, 2) if layout == "replica_major" else np.ascontiguousarray(paths.transpose(1, 0, 2))
 
 
-def _drive(model, config, rows, block, compiled):
-    """Run a driver over ``rows`` in blocks; ``compiled=False`` hides the compiled step, as a failed build does."""
+@dataclasses.dataclass
+class _Run:
+    result: scheme.BatchResult
+    blocks: list  # (k0, states, alive) of every observer call
+    numpy_rows: int  # rows the numpy step took
+
+
+def _drive(model, config, rows, block, compiled, observed=False):
+    """Run a driver over ``rows`` in blocks; ``compiled=False`` hides the compiled steps, as a failed build does."""
+    blocks, numpy_rows = [], []
+    observe = (lambda k0, states, alive: blocks.append((k0, states.copy(), alive.copy()))) if observed else None
+    advance_numpy = _Driver._advance_numpy
+
+    def counted(driver, rows, at=0):
+        numpy_rows.append(len(rows))
+        return advance_numpy(driver, rows, at)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Driver, "_advance_numpy", counted)
         if not compiled:
-            mp.setattr(_native, "ex1_step", lambda: None)
-        driver = _Driver(model, config, rows.shape[1], replica_offset=5)
+            mp.setattr(_native, "kernels", lambda: None)
+        driver = _Driver(model, config, rows.shape[1], per_block=observe, replica_offset=5)
         assert (driver.compiled is not None) == compiled
         for start in range(0, len(rows), block):
             driver.advance(rows[start : start + block])
-        return driver.result()
+        return _Run(driver.result(), blocks, sum(numpy_rows))
 
 
 def _same_bytes(a, b):
+    ra, rb = a.result, b.result
     return (
-        a.terminal.tobytes() == b.terminal.tobytes()
-        and a.truncation_hits.tobytes() == b.truncation_hits.tobytes()
-        and a.diverged.tobytes() == b.diverged.tobytes()
+        ra.terminal.tobytes() == rb.terminal.tobytes()
+        and ra.truncation_hits.tobytes() == rb.truncation_hits.tobytes()
+        and ra.diverged.tobytes() == rb.diverged.tobytes()
+        and len(a.blocks) == len(b.blocks)
+        and all(
+            ka == kb and sa.tobytes() == sb.tobytes() and aa.tobytes() == ab.tobytes()
+            for (ka, sa, aa), (kb, sb, ab) in zip(a.blocks, b.blocks)
+        )
     )
 
 
 @pytest.fixture
-def compiled_step():
-    step_c = _native.ex1_step()
-    if step_c is None:
-        pytest.fail("the compiled example1 step did not build; see the RuntimeWarning")
-    return step_c
+def kernels():
+    found = _native.kernels()
+    if found is None:
+        pytest.fail("the compiled steps did not build; see the RuntimeWarning")
+    return found
 
 
-@pytest.mark.usefixtures("compiled_step")
+@pytest.mark.usefixtures("kernels")
 class TestBitForBit:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -69,8 +100,9 @@ class TestBitForBit:
         batch=st.sampled_from([1, 2, 3, 7, 16, 33]),
         layout=st.sampled_from(["replica_major", "time_major"]),
         far=st.booleans(),
+        observed=st.booleans(),
     )
-    def test_matches_numpy_driver(self, seed, n_hist, horizon, data, batch, layout, far):
+    def test_example1_matches_numpy_driver(self, seed, n_hist, horizon, data, batch, layout, far, observed):
         # steps 1/2N, dyadic (2^-3..2^-7) or not, where a fused multiply-add
         # would round differently; K <= N runs without a ring, K = N + 1 wraps
         # it once and resyncs once, K in {N, 2N, 3N} ends on a resync step,
@@ -86,34 +118,110 @@ class TestBitForBit:
         model = builtin_example1(initial_data=_far_start if far else None)
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(seed, batch, step, n_steps, layout)
-        c = _drive(model, config, rows, block, compiled=True)
-        py = _drive(model, config, rows, block, compiled=False)
+        c = _drive(model, config, rows, block, compiled=True, observed=observed)
+        py = _drive(model, config, rows, block, compiled=False, observed=observed)
         assert _same_bytes(c, py)
+        assert c.numpy_rows == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        half=st.integers(2, 32),
+        horizon=st.sampled_from(["no_ring", "box_ring", "one_past", "ends_on_resync", "two_resyncs"]),
+        data=st.data(),
+        batch=st.sampled_from([1, 3, 33]),
+        layout=st.sampled_from(["replica_major", "time_major"]),
+        far=st.booleans(),
+        observed=st.booleans(),
+    )
+    def test_example2_matches_numpy_driver(self, seed, half, horizon, data, batch, layout, far, observed):
+        # N even in 4..64, the boxcar's support starting at node N/2: K <= N/2
+        # keeps no ring, N/2 < K <= N a boxcar ring of K rows and no resync,
+        # K = N + 1 wraps both rings, K in {N, 2N, 3N} ends on a resync step
+        # and K > 2N resyncs at least twice; a far start clips in C
+        n_hist = 2 * half
+        step = 0.5 / n_hist
+        n_steps = {
+            "no_ring": data.draw(st.integers(1, half)),
+            "box_ring": data.draw(st.integers(half + 1, n_hist)),
+            "one_past": n_hist + 1,
+            "ends_on_resync": data.draw(st.sampled_from([1, 2, 3])) * n_hist,
+            "two_resyncs": data.draw(st.integers(2 * n_hist + 1, 4 * n_hist)),
+        }[horizon]
+        block = data.draw(st.integers(1, n_steps))
+        model = _example2(far)
+        config = SchemeConfig(step=step, horizon=n_steps * step)
+        rows = _increments(seed, batch, step, n_steps, layout, dim=2)
+        c = _drive(model, config, rows, block, compiled=True, observed=observed)
+        py = _drive(model, config, rows, block, compiled=False, observed=observed)
+        assert _same_bytes(c, py)
+        assert c.numpy_rows == 0
 
     @pytest.mark.parametrize("exponent,n_steps", [(4, 8), (4, 40), (10, 700)])
-    def test_clip_rows_taken_by_numpy(self, exponent, n_steps):
+    def test_clipped_rows_taken_by_c(self, exponent, n_steps):
         step = 2.0**-exponent
         model = builtin_example1(initial_data=_far_start)
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(11, 9, step, n_steps, "replica_major")
         c = _drive(model, config, rows, 64, compiled=True)
         py = _drive(model, config, rows, 64, compiled=False)
-        assert py.truncation_hits.sum() > 0
+        assert py.result.truncation_hits.sum() > 0
         assert _same_bytes(c, py)
+        assert c.numpy_rows == 0
 
-    @pytest.mark.parametrize("n_steps", [12, 40])
-    def test_nan_increment_raises_the_same_error(self, n_steps):
-        step = 2.0**-4
+    def test_example2_clips_in_c(self):
+        # stability-ex2's shape, cut to 200 steps of 40 replicas: many rows clip
+        step, n_steps = 2.0**-6, 200
         config = SchemeConfig(step=step, horizon=n_steps * step)
-        rows = _increments(4, 6, step, n_steps, "time_major")
-        rows[n_steps - 3, 4, 0] = np.nan
+        rows = _increments(0, 40, step, n_steps, "replica_major", dim=2)
+        c = _drive(_example2(), config, rows, 65, compiled=True, observed=True)
+        py = _drive(_example2(), config, rows, 65, compiled=False, observed=True)
+        assert py.result.truncation_hits.sum() > 0
+        assert _same_bytes(c, py)
+        assert c.numpy_rows == 0
+
+    @pytest.mark.parametrize("example", [1, 2])
+    @pytest.mark.parametrize("n_steps", [12, 40])
+    def test_nan_increment_raises_the_same_error(self, example, n_steps):
+        step = 2.0**-4
+        model = builtin_example1() if example == 1 else _example2()
+        config = SchemeConfig(step=step, horizon=n_steps * step)
+        rows = _increments(4, 6, step, n_steps, "time_major", dim=example)
+        rows[n_steps - 3, 4, example - 1] = np.nan
         contexts = []
         for compiled in (True, False):
             with pytest.raises(NumericalError) as info:
-                _drive(builtin_example1(), config, rows, 5, compiled)
+                _drive(model, config, rows, 5, compiled, observed=True)
             contexts.append(info.value.context)
         assert contexts[0] == contexts[1]
         assert (contexts[0]["replica"], contexts[0]["step"]) == (5 + 4, n_steps - 2)
+
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_overflowing_square_norm_goes_to_numpy(self, example):
+        # an increment of 1e200 makes a finite state whose squared norm
+        # overflows: C leaves that one row to the numpy step, which measures
+        # it on its own scale and puts it on the sphere
+        step, n_steps = 2.0**-4, 30
+        model = builtin_example1() if example == 1 else _example2()
+        config = SchemeConfig(step=step, horizon=n_steps * step)
+        rows = _increments(7, 5, step, n_steps, "time_major", dim=example)
+        rows[11, 2, example - 1] = 1e200
+        c = _drive(model, config, rows, 8, compiled=True, observed=True)
+        py = _drive(model, config, rows, 8, compiled=False, observed=True)
+        assert _same_bytes(c, py)
+        assert c.numpy_rows == 1
+        assert c.result.truncation_hits[2] > 0
+
+    def test_huge_start_matches_numpy(self):
+        # a start of 1e200, whose squared norm overflows, is put on the
+        # sphere with the initial data; the steps from there keep their bits
+        step, n_steps = 2.0**-4, 30
+        model = builtin_example1(initial_data=lambda theta: np.array([1e200]))
+        config = SchemeConfig(step=step, horizon=n_steps * step)
+        rows = _increments(3, 4, step, n_steps, "replica_major")
+        c = _drive(model, config, rows, 7, compiled=True, observed=True)
+        py = _drive(model, config, rows, 7, compiled=False, observed=True)
+        assert _same_bytes(c, py)
 
 
 class TestRunLength:
@@ -124,7 +232,7 @@ class TestRunLength:
         # N = 16: one row short of K or one row past it, on both paths, and
         # the count taken in the error
         if compiled:
-            request.getfixturevalue("compiled_step")
+            request.getfixturevalue("kernels")
         step = 2.0**-5
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(6, 4, step, n_steps + extra, "time_major")
@@ -132,31 +240,46 @@ class TestRunLength:
             _drive(builtin_example1(), config, rows, 5, compiled)
 
 
+@pytest.mark.usefixtures("kernels")
 class TestOnlyQualifyingDrivers:
     @pytest.mark.parametrize(
-        "model,variant,observed",
+        "model,variant,observed,compiled",
         [
-            (builtin_example1(), CLASSIC_EM, False),
-            (builtin_example1(), scheme.TRUNCATED_EM, True),
-            (builtin_example2(), scheme.TRUNCATED_EM, False),
-            (builtin_gbm_oracle(1.0, 0.5, 1.0), scheme.TRUNCATED_EM, False),
-            (dataclasses.replace(builtin_example1(), drift=lambda seg: _ex1_drift(seg)), scheme.TRUNCATED_EM, False),
+            (builtin_example1(), CLASSIC_EM, False, False),
+            (builtin_example1(), scheme.TRUNCATED_EM, True, True),
+            (builtin_example2(), scheme.TRUNCATED_EM, False, True),
+            (builtin_gbm_oracle(1.0, 0.5, 1.0), scheme.TRUNCATED_EM, False, False),
+            (
+                dataclasses.replace(builtin_example1(), drift=lambda seg: _ex1_drift(seg)),
+                scheme.TRUNCATED_EM, False, False,
+            ),
         ],
         ids=["classic", "observer", "example2", "gbm", "wrapped_drift"],
     )
-    def test_numpy_runs_everything_else(self, model, variant, observed):
-        per_step = (lambda k, states, pre, alive: None) if observed else None
+    def test_builtin_truncated_drivers_compile(self, model, variant, observed, compiled):
+        per_block = (lambda k0, states, alive: None) if observed else None
         config = SchemeConfig(step=2.0**-5, horizon=1.0, variant=variant)
-        assert _Driver(model, config, 3, per_step=per_step).compiled is None
+        assert (_Driver(model, config, 3, per_block=per_block).compiled is not None) == compiled
+
+    @pytest.mark.parametrize(
+        "make,name",
+        [(builtin_example1, "_EX1_LEBESGUE"), (builtin_example2, "_EX2_BOX"), (builtin_example2, "_EX2_LEBESGUE")],
+        ids=["example1", "example2_box", "example2_lebesgue"],
+    )
+    def test_weights_without_structure_keep_numpy(self, monkeypatch, make, name):
+        # a weight the window integrates by full quadrature has no C path
+        monkeypatch.setattr(model_module, name, dataclasses.replace(getattr(model_module, name), kind=None))
+        config = SchemeConfig(step=2.0**-5, horizon=1.0)
+        assert _Driver(make(), config, 3).compiled is None
 
 
 @pytest.fixture
 def fresh_build(monkeypatch, tmp_path):
     """A loader that has not run in this process, with its cache in ``tmp_path``."""
     monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
-    _native.ex1_step.cache_clear()
+    _native.kernels.cache_clear()
     yield tmp_path
-    _native.ex1_step.cache_clear()
+    _native.kernels.cache_clear()
 
 
 class TestBuild:
@@ -170,29 +293,37 @@ class TestBuild:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = [_Driver(model, config, 5) for _ in range(2)]
+            results.append(_Driver(_example2(), config, 5))
             for driver in results:
                 assert driver.compiled is None
+            for driver in results[:2]:
                 driver.advance(rows)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert compiler in str(caught[0].message) and "numpy" in str(caught[0].message)
         assert list(fresh_build.iterdir()) == []  # no partial library left behind
-        expected = _drive(model, config, rows, n_steps, compiled=False)
-        assert all(_same_bytes(driver.result(), expected) for driver in results)
+        expected = _drive(model, config, rows, n_steps, compiled=False).result
+        assert all(
+            driver.result().terminal.tobytes() == expected.terminal.tobytes()
+            and driver.result().truncation_hits.tobytes() == expected.truncation_hits.tobytes()
+            for driver in results[:2]
+        )
 
-    def test_library_from_other_source_never_loaded(self, compiled_step, fresh_build, monkeypatch, tmp_path_factory):
-        def rows_taken(fn):  # no rows: C reads no pointer
-            return fn(0, 1, None, 1, 1, 0, 1, 1, 0.1, 1.0, 0.1, 0.1, *[None] * 7)
+    def test_library_from_other_source_never_loaded(self, kernels, fresh_build, monkeypatch, tmp_path_factory):
+        def rows_taken(found):  # no rows: C reads no pointer
+            return [found[name](0, 1, None, 1, 1, 0, 1, 1, 0.1, 1.0, 1.0, None, *[None] * 4) for name in sorted(found)]
 
         source = _native._SOURCE
-        assert rows_taken(_native.ex1_step()) == 0
+        assert rows_taken(_native.kernels()) == [0, 0]
         other = tmp_path_factory.mktemp("other") / "other.c"
-        other.write_text("#include <stdint.h>\nint64_t ex1_steps(void) { return -7; }\n")
+        other.write_text(
+            "#include <stdint.h>\nint64_t ex1_steps(void) { return -7; }\nint64_t ex2_steps(void) { return -8; }\n"
+        )
         monkeypatch.setattr(_native, "_SOURCE", other)
-        _native.ex1_step.cache_clear()
-        assert rows_taken(_native.ex1_step()) == -7
+        _native.kernels.cache_clear()
+        assert rows_taken(_native.kernels()) == [-7, -8]
         monkeypatch.setattr(_native, "_SOURCE", source)
-        _native.ex1_step.cache_clear()
-        assert rows_taken(_native.ex1_step()) == 0
+        _native.kernels.cache_clear()
+        assert rows_taken(_native.kernels()) == [0, 0]
         assert len([p for p in fresh_build.iterdir() if p.suffix == ".so"]) == 2
 
     def test_import_and_model_construction_build_nothing(self, tmp_path):
@@ -202,7 +333,7 @@ class TestBuild:
             "import sys, sfde_tem\n"
             "sfde_tem.builtin_example1(); sfde_tem.builtin_example2(); sfde_tem.get_model('gbm')\n"
             "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
-            "print('sfde_tem._native' in sys.modules, 'ex1_step-' in maps)\n"
+            "print('sfde_tem._native' in sys.modules, 'steps-' in maps)\n"
         )
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

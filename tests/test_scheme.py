@@ -75,9 +75,9 @@ def ramp_example1():
 
 
 def _batch_states(m, cfg, inc):
-    """(B, K+1, n) states of a batch run, collected through the per_step hook."""
+    """(B, K+1, n) states of a batch run, collected through the per_block hook."""
     states = []
-    _run_batch(m, cfg, inc, per_step=lambda k, s, pre, alive: states.append(s.copy()))
+    _run_batch(m, cfg, inc, per_block=lambda k0, block, alive: states.extend(block.copy()))
     return np.stack(states, axis=1)
 
 
