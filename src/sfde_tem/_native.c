@@ -87,22 +87,45 @@ static void resync(const struct term *tm, int64_t s, int64_t n, int64_t batch, d
         value[r] = step * (total[r] - 0.5 * (w[0] * oldest[r * so] + w[n] * newest[r * sn]));
 }
 
-/* Take in the transformed newest node h_new of shift s, as scheme._IntegralTerm.shift does. */
-static void shift(const struct term *tm, const double *restrict h_new, int64_t s, int64_t n, int64_t batch,
-                  double step, double *restrict scratch)
+/* Every function from here on is inlined into ex1_steps and ex2_steps, so
+   each kernel compiles with its state dimension a constant. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* Replica r's transformed node of term j, from its states x: example1's x^2,
+   example2's x2 (term 0, the boxcar) or x1^3 (term 1, the constant weight). */
+INLINE double node(int64_t dim, int64_t j, const double *restrict x, int64_t r)
+{
+    if (dim == 1)
+        return x[r] * x[r];
+    if (j == 0)
+        return x[2 * r + 1];
+    double h = x[2 * r];
+    return (h * h) * h;
+}
+
+/* Shift s of term j: take in each replica's newest node, as scheme._IntegralTerm.shift does. */
+INLINE void shift(int64_t dim, int64_t j, const struct term *tm, const double *restrict x, int64_t s, int64_t n,
+                  int64_t batch, double step, double *restrict scratch)
 {
     int64_t i = s - n + tm->m, si, sp;
     const double *hi = hist(i, n, batch, tm, &si);
     const double *hp = hist(i - 1, n, batch, tm, &sp);
-    double *put = tm->ring ? tm->ring + ((s - 1) % (n + 1)) * batch : NULL;
-    {
-        double *restrict value = tm->value, *restrict head = tm->head;
-        double coeff = tm->coeff;
+    double *restrict value = tm->value, *restrict head = tm->head;
+    double coeff = tm->coeff;
+    if (tm->ring) {
+        /* with m = 0 this is node i - 1's row, read before it is written */
+        double *put = tm->ring + ((s - 1) % (n + 1)) * batch;
         for (int64_t r = 0; r < batch; r++) {
-            value[r] = value[r] + coeff * (((h_new[r] + head[r]) - hi[r * si]) - hp[r * sp]);
-            head[r] = h_new[r];
-            if (put)
-                put[r] = h_new[r];
+            double h = node(dim, j, x, r);
+            value[r] = value[r] + coeff * (((h + head[r]) - hi[r * si]) - hp[r * sp]);
+            head[r] = h;
+            put[r] = h;
+        }
+    } else {
+        for (int64_t r = 0; r < batch; r++) {
+            double h = node(dim, j, x, r);
+            value[r] = value[r] + coeff * (((h + head[r]) - hi[r * si]) - hp[r * sp]);
+            head[r] = h;
         }
     }
     if (s % n == 0)
@@ -111,7 +134,7 @@ static void shift(const struct term *tm, const double *restrict h_new, int64_t s
 
 /* Whether every replica's pre-clip state can be clipped here: it lies
    within `inside`, or it is finite and its squared norm does not overflow. */
-static int clippable(const double *pre, int64_t batch, int64_t dim, double inside)
+INLINE int clippable(int64_t dim, const double *pre, int64_t batch, double inside)
 {
     for (int64_t r = 0; r < batch; r++) {
         const double *p = pre + r * dim;
@@ -128,7 +151,7 @@ static int clippable(const double *pre, int64_t batch, int64_t dim, double insid
 }
 
 /* Clip the pre-clip states into x, as clip_to_ball does for finite squared norms. */
-static void clip(const double *restrict pre, double *restrict x, int64_t batch, int64_t dim, double inside,
+INLINE void clip(int64_t dim, const double *restrict pre, double *restrict x, int64_t batch, double inside,
                  double radius, int64_t *restrict hits)
 {
     for (int64_t r = 0; r < batch; r++) {
@@ -159,9 +182,9 @@ static void clip(const double *restrict pre, double *restrict x, int64_t batch, 
     }
 }
 
-/* The pre-clip states of one row of example1 (dim 1) or example2 (dim 2) in
-   numpy's order, and whether an entry lies past `inside` (a NaN does). */
-static int pre_clip(int64_t dim, const double *restrict x, const double *restrict dbt, int64_t replica_stride,
+/* The pre-clip states of one row in numpy's order, and whether an entry
+   lies past `inside` (a NaN does). */
+INLINE int pre_clip(int64_t dim, const double *restrict x, const double *restrict dbt, int64_t replica_stride,
                     const struct term *terms, int64_t batch, double delta, double inside, double *restrict pre)
 {
     int outside = 0;
@@ -191,48 +214,32 @@ static int pre_clip(int64_t dim, const double *restrict x, const double *restric
     return outside;
 }
 
-/* Shift s of the running integrals: example1's reads x^2, example2's boxcar
-   term x2 and its constant-weight term x1^3.  `pre` is free scratch by now. */
-static void shift_terms(int64_t dim, const double *restrict x, const struct term *terms, int64_t s, int64_t n,
-                        int64_t batch, double delta, double *restrict pre)
-{
-    double *h_new = pre, *scratch = pre + batch;
-    if (dim == 1) {
-        for (int64_t r = 0; r < batch; r++)
-            h_new[r] = x[r] * x[r];
-        shift(&terms[0], h_new, s, n, batch, delta, scratch);
-        return;
-    }
-    for (int64_t r = 0; r < batch; r++)
-        h_new[r] = x[2 * r + 1];
-    shift(&terms[0], h_new, s, n, batch, delta, scratch);
-    for (int64_t r = 0; r < batch; r++) {
-        double h = x[2 * r];
-        h_new[r] = (h * h) * h;
-    }
-    shift(&terms[1], h_new, s, n, batch, delta, scratch);
-}
-
-static int64_t steps(int64_t dim, int64_t rows, int64_t batch, const double *restrict db, int64_t row_stride,
+/* example1 (dim 1) integrates one term, example2 (dim 2) two; `pre` is
+   free scratch once a row's states are in x. */
+INLINE int64_t steps(int64_t dim, int64_t rows, int64_t batch, const double *restrict db, int64_t row_stride,
                      int64_t replica_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
                      double radius, const struct term *terms, double *restrict x, int64_t *restrict hits,
                      double *restrict out, double *restrict pre)
 {
+    int64_t size = dim * batch;
     for (int64_t t = 0; t < rows; t++) {
         if (pre_clip(dim, x, db + t * row_stride, replica_stride, terms, batch, delta, inside, pre)) {
-            if (!clippable(pre, batch, dim, inside))
+            if (!clippable(dim, pre, batch, inside))
                 return t;
-            clip(pre, x, batch, dim, inside, radius, hits);
+            clip(dim, pre, x, batch, inside, radius, hits);
         } else {
-            for (int64_t r = 0; r < dim * batch; r++)
+            for (int64_t r = 0; r < size; r++)
                 x[r] = pre[r];
         }
         if (out)
-            for (int64_t r = 0; r < dim * batch; r++)
-                out[t * dim * batch + r] = x[r];
+            for (int64_t r = 0; r < size; r++)
+                out[t * size + r] = x[r];
         int64_t s = k + t + 1;
-        if (s < n_steps) /* nothing reads the history after the last step */
-            shift_terms(dim, x, terms, s, n, batch, delta, pre);
+        if (s >= n_steps)
+            continue; /* nothing reads the history after the last step */
+        shift(dim, 0, &terms[0], x, s, n, batch, delta, pre);
+        if (dim == 2)
+            shift(dim, 1, &terms[1], x, s, n, batch, delta, pre);
     }
     return rows;
 }

@@ -78,7 +78,7 @@ def kernels():
     and their row and replica strides (in floats), the steps taken, K, N,
     Delta, ``inside``, the radius, the running integrals (``Term`` array),
     and the addresses of the states, the hit counts, the block of states
-    written (or None) and a scratch buffer of max(n, 2) * B floats.
+    written (or None) and a scratch buffer of n * B floats.
     """
     import subprocess
 

@@ -531,8 +531,8 @@ class _Compiled:
         self.x = np.empty((batch, dim))
         self.values = [np.empty(batch) for _ in terms]
         self.heads = [np.empty(batch) for _ in terms]
-        # C's scratch: the pre-clip states, then a term's new nodes and resync sums
-        self.scratch = np.empty(max(dim, 2) * batch)
+        # C's scratch: the pre-clip states, then a resync's sums
+        self.scratch = np.empty(dim * batch)
         self._keep = []  # C reads these by address
         structs = (_native.Term * len(terms))()
         for struct, term, value, head in zip(structs, terms, self.values, self.heads):
