@@ -16,15 +16,18 @@
  * pointers do not overlap, which lets the compiler keep values in registers.
  *
  * A replica whose pre-clip state has an entry past `inside` is clipped to
- * the ball of `radius` as model.clip_to_ball clips a finite row whose squared
- * norm is finite: rescaled by radius / norm until its norm is within the
- * radius, one hit counted in `hits`.  sqrt, division and multiplication are
- * correctly rounded, so the bits match.  A row in which some replica is not
- * finite, or has a squared norm that overflows, is left untouched: the
- * function returns the number of rows taken, and the numpy driver takes the
- * row it stopped before, with its rescaling and its errors.  If `out` is not
- * NULL, the states after row t are written to out[t], a (B, n) block.  A
- * call with no rows reads no pointer, the terms' included.
+ * the ball of `radius` as model.clip_to_ball clips a finite row: rescaled
+ * until its norm is within the radius, one hit counted in `hits`, a row
+ * whose squared norm overflows measured and rescaled on the scale of its
+ * max|x| (model._norms).  sqrt, division and multiplication are correctly
+ * rounded, so the bits match.  A function returns the number of rows
+ * taken: it stops only before a row in which some replica's pre-clip state
+ * is not finite, leaving that row's pre-clip states in `pre`, and the
+ * driver raises numpy's error.  If `out` is not NULL, the states after row
+ * t are written to out[t], a (B, n) block.  The increments of row t,
+ * replica r, coordinate j are read at db[t * row_stride + r * replica_stride
+ * + j * coord_stride].  A call with no rows reads no pointer, the terms'
+ * included.
  *
  * The running integrals are the constant and boxcar terms of
  * scheme._IntegralTerm, one `struct term` each: the support starts at window
@@ -132,25 +135,28 @@ INLINE void shift(int64_t dim, int64_t j, const struct term *tm, const double *r
         resync(tm, s, n, batch, step, scratch);
 }
 
-/* Whether every replica's pre-clip state can be clipped here: it lies
-   within `inside`, or it is finite and its squared norm does not overflow. */
-INLINE int clippable(int64_t dim, const double *pre, int64_t batch, double inside)
+/* The norm of v / unit, unit being max|v| if v's squared norm overflows and
+   1 otherwise, as model._norms measures a finite row. */
+INLINE double norm(int64_t dim, const double *v, double *unit)
 {
-    for (int64_t r = 0; r < batch; r++) {
-        const double *p = pre + r * dim;
-        double sq = 0.0;
-        int outside = 0;
-        for (int64_t j = 0; j < dim; j++) {
-            outside |= !(fabs(p[j]) <= inside);
-            sq = sq + p[j] * p[j];
-        }
-        if (outside && !isfinite(sq))
-            return 0;
+    double sq = 0.0, big = 0.0;
+    for (int64_t j = 0; j < dim; j++)
+        sq = sq + v[j] * v[j];
+    *unit = 1.0;
+    if (!isinf(sq))
+        return sqrt(sq);
+    for (int64_t j = 0; j < dim; j++)
+        big = fmax(big, fabs(v[j]));
+    *unit = big;
+    sq = 0.0;
+    for (int64_t j = 0; j < dim; j++) {
+        double u = v[j] / big;
+        sq = sq + u * u;
     }
-    return 1;
+    return sqrt(sq);
 }
 
-/* Clip the pre-clip states into x, as clip_to_ball does for finite squared norms. */
+/* Clip the finite pre-clip states into x, as clip_to_ball does. */
 INLINE void clip(int64_t dim, const double *restrict pre, double *restrict x, int64_t batch, double inside,
                  double radius, int64_t *restrict hits)
 {
@@ -164,20 +170,14 @@ INLINE void clip(int64_t dim, const double *restrict pre, double *restrict x, in
         }
         if (!outside)
             continue;
-        double nrm = 0.0;
-        for (int64_t j = 0; j < dim; j++)
-            nrm = nrm + v[j] * v[j];
-        nrm = sqrt(nrm);
-        if (nrm > radius)
+        double unit, nrm = norm(dim, v, &unit);
+        if (nrm > radius / unit)
             hits[r] += 1;
-        while (nrm > radius) {
+        while (nrm > radius / unit) {
             double scale = radius / nrm;
-            nrm = 0.0;
-            for (int64_t j = 0; j < dim; j++) {
-                v[j] = v[j] * scale;
-                nrm = nrm + v[j] * v[j];
-            }
-            nrm = sqrt(nrm);
+            for (int64_t j = 0; j < dim; j++)
+                v[j] = v[j] / unit * scale;
+            nrm = norm(dim, v, &unit);
         }
     }
 }
@@ -185,7 +185,8 @@ INLINE void clip(int64_t dim, const double *restrict pre, double *restrict x, in
 /* The pre-clip states of one row in numpy's order, and whether an entry
    lies past `inside` (a NaN does). */
 INLINE int pre_clip(int64_t dim, const double *restrict x, const double *restrict dbt, int64_t replica_stride,
-                    const struct term *terms, int64_t batch, double delta, double inside, double *restrict pre)
+                    int64_t coord_stride, const struct term *terms, int64_t batch, double delta, double inside,
+                    double *restrict pre)
 {
     int outside = 0;
     if (dim == 1) {
@@ -202,7 +203,7 @@ INLINE int pre_clip(int64_t dim, const double *restrict x, const double *restric
     const double *restrict box = terms[0].value, *restrict lebesgue = terms[1].value;
     for (int64_t r = 0; r < batch; r++) {
         double h0 = x[2 * r], h1 = x[2 * r + 1];
-        double db0 = dbt[r * replica_stride], db1 = dbt[r * replica_stride + 1];
+        double db0 = dbt[r * replica_stride], db1 = dbt[r * replica_stride + coord_stride];
         double f0 = (-2.0 * h0 - ((h0 * h0) * h0) * 3.0) + box[r];
         double f1 = (-2.0 * h1 - ((h1 * h1) * h1) * 2.0) + lebesgue[r];
         double p0 = (f0 * delta + h0) + ((0.0 + h0 * db0) + 0.0 * db1);
@@ -217,15 +218,16 @@ INLINE int pre_clip(int64_t dim, const double *restrict x, const double *restric
 /* example1 (dim 1) integrates one term, example2 (dim 2) two; `pre` is
    free scratch once a row's states are in x. */
 INLINE int64_t steps(int64_t dim, int64_t rows, int64_t batch, const double *restrict db, int64_t row_stride,
-                     int64_t replica_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
-                     double radius, const struct term *terms, double *restrict x, int64_t *restrict hits,
-                     double *restrict out, double *restrict pre)
+                     int64_t replica_stride, int64_t coord_stride, int64_t k, int64_t n_steps, int64_t n,
+                     double delta, double inside, double radius, const struct term *terms, double *restrict x,
+                     int64_t *restrict hits, double *restrict out, double *restrict pre)
 {
     int64_t size = dim * batch;
     for (int64_t t = 0; t < rows; t++) {
-        if (pre_clip(dim, x, db + t * row_stride, replica_stride, terms, batch, delta, inside, pre)) {
-            if (!clippable(dim, pre, batch, inside))
-                return t;
+        if (pre_clip(dim, x, db + t * row_stride, replica_stride, coord_stride, terms, batch, delta, inside, pre)) {
+            for (int64_t r = 0; r < size; r++)
+                if (!isfinite(pre[r]))
+                    return t;
             clip(dim, pre, x, batch, inside, radius, hits);
         } else {
             for (int64_t r = 0; r < size; r++)
@@ -245,17 +247,17 @@ INLINE int64_t steps(int64_t dim, int64_t rows, int64_t batch, const double *res
 }
 
 int64_t ex1_steps(int64_t rows, int64_t batch, const double *db, int64_t row_stride, int64_t replica_stride,
-                  int64_t k, int64_t n_steps, int64_t n, double delta, double inside, double radius,
-                  const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
+                  int64_t coord_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
+                  double radius, const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
 {
-    return steps(1, rows, batch, db, row_stride, replica_stride, k, n_steps, n, delta, inside, radius, terms, x,
-                 hits, out, pre);
+    return steps(1, rows, batch, db, row_stride, replica_stride, coord_stride, k, n_steps, n, delta, inside, radius,
+                 terms, x, hits, out, pre);
 }
 
 int64_t ex2_steps(int64_t rows, int64_t batch, const double *db, int64_t row_stride, int64_t replica_stride,
-                  int64_t k, int64_t n_steps, int64_t n, double delta, double inside, double radius,
-                  const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
+                  int64_t coord_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
+                  double radius, const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
 {
-    return steps(2, rows, batch, db, row_stride, replica_stride, k, n_steps, n, delta, inside, radius, terms, x,
-                 hits, out, pre);
+    return steps(2, rows, batch, db, row_stride, replica_stride, coord_stride, k, n_steps, n, delta, inside, radius,
+                 terms, x, hits, out, pre);
 }

@@ -75,10 +75,13 @@ def kernels():
     """``{name: ctypes function}`` for each step of ``_native.c``, or None if it cannot be built or loaded.
 
     Every step takes the same arguments: rows, batch, the increments' address
-    and their row and replica strides (in floats), the steps taken, K, N,
-    Delta, ``inside``, the radius, the running integrals (``Term`` array),
-    and the addresses of the states, the hit counts, the block of states
-    written (or None) and a scratch buffer of n * B floats.
+    and their row, replica and coordinate strides (in floats), the steps
+    taken, K, N, Delta, ``inside``, the radius, the running integrals
+    (``Term`` array), and the addresses of the states, the hit counts, the
+    block of states written (or None) and a scratch buffer of n * B floats,
+    which holds the pre-clip states of the row a step stops before.  It
+    returns the rows taken: all of them, unless a pre-clip state is not
+    finite.
     """
     import subprocess
 
@@ -92,7 +95,7 @@ def kernels():
     else:
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         for fn in found.values():
-            fn.argtypes = [i64, i64, ptr, i64, i64, i64, i64, i64, dbl, dbl, dbl, ctypes.POINTER(Term)] + [ptr] * 4
+            fn.argtypes = [i64, i64, ptr, i64, i64, i64, i64, i64, i64, dbl, dbl, dbl, ctypes.POINTER(Term)] + [ptr] * 4
             fn.restype = i64
         return found
     warnings.warn(

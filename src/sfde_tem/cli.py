@@ -24,6 +24,7 @@ reproduces identical CSV bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
@@ -144,8 +145,8 @@ def _validate(config: RunConfig) -> None:
             f"key 'ref_exponent' ({config.ref_exponent}) must exceed every step exponent "
             f"(max {max(config.step_exponents)})"
         )
-    if config.horizon <= 0:
-        raise ConfigurationError(f"key 'horizon' must be positive, got {config.horizon}")
+    if not 0 < config.horizon < math.inf:
+        raise ConfigurationError(f"key 'horizon' must be positive and finite, got {config.horizon}")
     if config.samples < 1:
         raise ConfigurationError(f"key 'samples' must be positive, got {config.samples}")
     if config.seed < 0:

@@ -154,7 +154,8 @@ def _norms(v: np.ndarray):
     ``norms * unit`` is its true norm, and 1 on every other row, whose norm
     keeps the bits of ``sqrt(sum(v * v))``.
     """
-    nrm = np.sqrt(_sum_last_axis(v * v))
+    with np.errstate(over="ignore"):  # the overflow is the case measured below
+        nrm = np.sqrt(_sum_last_axis(v * v))
     unit = np.ones(np.shape(nrm))
     inf = np.isinf(nrm)
     if inf.any():

@@ -31,12 +31,12 @@ short axes are summed one column at a time, ``segment._sum_last_axis``),
 and a step whose entries all lie well within radius / sqrt(n) skips the
 clip and its finiteness check.  The builtin coefficients it calls write
 cubes as products (``h * h * h``), which numpy evaluates far faster than
-``h**3``.  A driver of example1's or example2's truncated scheme hands its
-rows to a compiled step (``_Compiled``, built from ``_native.c``) that
-gives the same bits, clip and hit counts included; the numpy step takes
-every row in which a state is not finite or has a squared norm that
-overflows, and every other driver.  An observer (``per_block``) is handed
-the states of each block of rows at once, from a buffer both steps write.
+``h**3``.  A driver of example1's or example2's truncated scheme is
+stepped in C alone (``_Compiled``, built from ``_native.c``), with the same
+bits, clip and hit counts included, and the same error on a state that is
+not finite; the numpy step takes every other driver.  An observer
+(``per_block``) is handed the states of each block of rows at once, from a
+buffer the driver's step writes.
 """
 
 from __future__ import annotations
@@ -388,7 +388,8 @@ class _Driver:
     The caller hands over exactly K rows in all; a block's rows are read
     only while its ``advance`` runs.  The window holds the step count, the
     newest states, K and Delta; the driver the per-replica tallies and the
-    block buffers an observer reads, which both steps write.
+    block buffers an observer reads.  A driver with a compiled step
+    (``_Compiled``) is stepped by it alone, every other by ``_advance_numpy``.
     """
 
     def __init__(
@@ -432,30 +433,34 @@ class _Driver:
             self.states = np.empty((len(rows),) + self.states.shape[1:])
             self.alive_rows = np.ones((len(rows),) + self.alive_rows.shape[1:], dtype=bool)
         k0 = self.window.shifts + 1
-        compiled = self.compiled
-        if compiled is None or not compiled.reads(rows):
+        if self.compiled is None:
             self._advance_numpy(rows)
-        else:
-            done = 0
-            while done < len(rows):
-                done += compiled.take(rows[done:], self.states[done:] if observed else None)
-                if done < len(rows):
-                    # a state that is not finite or whose squared norm overflows: the numpy step rescales it or raises
-                    self._advance_numpy(rows[done : done + 1], at=done)
-                    done += 1
+        elif self.compiled.take(rows, self.states if observed else None) < len(rows):
+            raise self._non_finite(self.compiled.pre)
         if observed:
             # as the steps do, the observer may meet a diverged classic replica's overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 self.per_block(k0, self.states[: len(rows)], self.alive_rows[: len(rows)])
 
-    def _advance_numpy(self, rows, at: int = 0) -> None:
-        """Step the window over ``rows``, writing the states of row t to block row ``at + t`` if observed."""
+    def _non_finite(self, pre: np.ndarray) -> NumericalError:
+        """The error of the next step, whose (B, n) pre-clip states ``pre`` are not all finite."""
+        bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
+        return NumericalError(
+            "truncated scheme produced a non-finite state (internal error)",
+            replica=self.replica_offset + bad,
+            step=self.window.shifts + 1,
+            head_norm=float(np.sqrt(np.sum(self.window.head[bad] ** 2))),
+            radius=self.radius,
+        )
+
+    def _advance_numpy(self, rows) -> None:
+        """Step the window over ``rows``, writing the states of row t to block row t if observed."""
         model, window, observed = self.model, self.window, self.per_block is not None
         delta, radius, truncated, inside = window.step, self.radius, self.truncated, self.inside
         hits, alive, div_step, pres = self.hits, self.alive, self.div_step, self.pre
         g_shape = (window.batch, model.dim_state, model.dim_noise)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, db in enumerate(rows, at):
+            for t, db in enumerate(rows):
                 head, k = window.head, window.shifts
                 f = np.asarray(model.drift(window))
                 g = np.asarray(model.diffusion(window))
@@ -471,14 +476,7 @@ class _Driver:
                     new = pre  # the clip would return it unchanged
                 elif truncated:
                     if not np.isfinite(pre).all():
-                        bad = int(np.argmax(~np.isfinite(pre).all(axis=-1)))
-                        raise NumericalError(
-                            "truncated scheme produced a non-finite state (internal error)",
-                            replica=self.replica_offset + bad,
-                            step=k + 1,
-                            head_norm=float(np.sqrt(np.sum(head[bad] ** 2))),
-                            radius=radius,
-                        )
+                        raise self._non_finite(pre)
                     new, over = clip_to_ball(pre, radius)
                     hits += over
                 else:
@@ -510,43 +508,42 @@ class _Driver:
 class _Compiled:
     """A builtin model's truncated step in C (``_native.c``), for a ``_Driver``.
 
-    ``take(rows, out)`` steps the window over the leading rows in which
-    every replica's pre-clip state lies within ``inside``, or is finite with
-    a finite squared norm (C clips it and counts the hit in the driver's
-    ``hits``), and returns how many it took; the driver's numpy step takes
-    the next row, with its rescaling and errors.  ``out``, if not None,
-    receives the states of each row taken.  While C runs, the heads and
-    each running integral's value and newest node live in buffers of this
-    object; ``take`` copies them in from the window and hands them back,
-    adding the rows to ``shifts``, so either path can take the next row.
-    The integrals' rings, if any, are shared; like ``shift``, C updates no
-    integral on the last step.
+    ``take(rows, out)`` steps the window over ``rows`` and returns how many
+    it took: all of them, unless a pre-clip state is not finite, in which
+    case C stops before that row and leaves its pre-clip states in ``pre``
+    for the driver's error.  C clips as the numpy step does and counts the
+    hits in the driver's ``hits``; ``out``, if not None, receives the states
+    of each row taken.  The window's head and each running integral's
+    ``value`` and ``head`` are bound at construction to arrays that C
+    writes in place, so ``take`` copies no state; the integrals' rings, if
+    any, are shared.  Like ``shift``, C updates no integral on the last step.
     """
 
     def __init__(self, kernel, window: _SlidingWindow, terms, inside: float, radius: float, hits: np.ndarray):
         from . import _native
 
         batch, dim = window.head.shape
-        self.window, self.kernel, self.terms = window, kernel, terms
-        self.x = np.empty((batch, dim))
-        self.values = [np.empty(batch) for _ in terms]
-        self.heads = [np.empty(batch) for _ in terms]
+        self.window, self.kernel = window, kernel
+        # a fresh C-ordered copy: a one-replica broadcast head would pass as contiguous
+        window.head = np.array(window.head, dtype=float, order="C")
         # C's scratch: the pre-clip states, then a resync's sums
-        self.scratch = np.empty(dim * batch)
+        self.pre = np.empty((batch, dim))
         self._keep = []  # C reads these by address
         structs = (_native.Term * len(terms))()
-        for struct, term, value, head in zip(structs, terms, self.values, self.heads):
+        for struct, term in zip(structs, terms):
+            # value is the term's own (B,) array; head, still the initial data's, is one value for all
+            term.head = np.full(batch, term.head, dtype=float)
             samples, initial = (np.ascontiguousarray(a, dtype=float) for a in (term.samples, term.hist.initial))
             self._keep += [samples, initial]
             ring = term.hist.ring
             struct.m, struct.coeff = term.m_node, term.coeff
             struct.w, struct.initial, struct.value, struct.head = (
-                a.ctypes.data for a in (samples, initial, value, head)
+                a.ctypes.data for a in (samples, initial, term.value, term.head)
             )
             struct.ring = None if ring is None else ring.ctypes.data
         self.args = (
             window.run_steps, window.n_steps, window.step, inside, radius, structs,
-            self.x.ctypes.data, hits.ctypes.data,
+            window.head.ctypes.data, hits.ctypes.data,
         )
 
     @staticmethod
@@ -579,37 +576,17 @@ class _Compiled:
             return None
         return _Compiled(kernels[name], driver.window, terms, driver.inside, driver.radius, driver.hits)
 
-    def reads(self, rows) -> bool:
-        """Whether ``rows`` is a (L, B, n) float64 array that C can read through its strides.
-
-        Both builtins have as many noise coordinates as state coordinates,
-        the last with unit stride.
-        """
-        return (
-            isinstance(rows, np.ndarray)
-            and rows.dtype == np.float64
-            and rows.shape[1:] == self.x.shape
-            and rows.flags.aligned
-            and rows.strides[0] % 8 == 0
-            and rows.strides[1] % 8 == 0
-            and (rows.strides[2] == 8 or rows.shape[2] == 1)
-        )
-
-    def take(self, rows: np.ndarray, out: Optional[np.ndarray]) -> int:
-        window = self.window
-        np.copyto(self.x, window.head)
-        for term, value, head in zip(self.terms, self.values, self.heads):
-            np.copyto(value, term.value)
-            np.copyto(head, term.head)
+    def take(self, rows, out: Optional[np.ndarray]) -> int:
+        # both builtins have as many noise coordinates as state coordinates;
+        # only rows that are not aligned float64 are copied
+        rows, (batch, dim) = np.require(rows, np.float64, "A"), self.pre.shape
+        if rows.shape[1:] != (batch, dim):
+            raise ConfigurationError(f"a block of increments must have shape (L, {batch}, {dim}), got {rows.shape}")
         taken = self.kernel(
-            len(rows), len(self.x), rows.ctypes.data, rows.strides[0] // 8, rows.strides[1] // 8,
-            window.shifts, *self.args, None if out is None else out.ctypes.data, self.scratch.ctypes.data,
+            len(rows), batch, rows.ctypes.data, *(stride // 8 for stride in rows.strides),
+            self.window.shifts, *self.args, None if out is None else out.ctypes.data, self.pre.ctypes.data,
         )
-        if taken:
-            window.shifts += taken
-            window.head = self.x
-            for term, value, head in zip(self.terms, self.values, self.heads):
-                term.value, term.head = value, head
+        self.window.shifts += taken
         return taken
 
 

@@ -206,13 +206,14 @@ class TestMainExitCodes:
         assert main(["nu", "--b1", "1", "--b2", "2", "--b3", "2", "--b4", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_infinite_horizon_exit_two(self, tmp_path, capsys):
-        code = main(
-            ["simulate", "--model", "gbm", "--steps", "5", "--horizon", "inf",
-             "--output", str(tmp_path / "t.csv")]
-        )
-        assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["simulate", "convergence", "moments", "stability", "nu"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_infinite_horizon_exit_two(self, command, horizon, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main([command, "--horizon", horizon, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and "key 'horizon'" in captured.err
 
     @pytest.mark.parametrize(
         "args",

@@ -34,9 +34,17 @@ def _example2(far=False):
 
 
 def _increments(seed, batch, step, n_steps, layout, dim=1):
-    """(K, B, d) rows: a transposed view of replica-major storage, as the stream hands them, or time-major."""
-    paths = np.stack([sample_increments(seed, r, dim, step, n_steps) for r in range(batch)])
-    return paths.transpose(1, 0, 2) if layout == "replica_major" else np.ascontiguousarray(paths.transpose(1, 0, 2))
+    """(K, B, d) rows: a transposed view of replica-major storage, as the stream hands them, or time-major rows,
+    of which "coordinate_strided" keeps every other of 2d coordinates (C reads them through its coordinate
+    stride) and "float32" casts to float32 (C steps a float64 copy)."""
+    wide = 2 if layout == "coordinate_strided" else 1
+    paths = np.stack([sample_increments(seed, r, wide * dim, step, n_steps) for r in range(batch)])
+    if layout == "replica_major":
+        return paths.transpose(1, 0, 2)
+    rows = np.ascontiguousarray(paths.transpose(1, 0, 2))
+    if layout == "coordinate_strided":
+        return rows[..., ::2]
+    return rows.astype(np.float32) if layout == "float32" else rows
 
 
 @dataclasses.dataclass
@@ -52,9 +60,9 @@ def _drive(model, config, rows, block, compiled, observed=False):
     observe = (lambda k0, states, alive: blocks.append((k0, states.copy(), alive.copy()))) if observed else None
     advance_numpy = _Driver._advance_numpy
 
-    def counted(driver, rows, at=0):
+    def counted(driver, rows):
         numpy_rows.append(len(rows))
-        return advance_numpy(driver, rows, at)
+        return advance_numpy(driver, rows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Driver, "_advance_numpy", counted)
@@ -62,8 +70,12 @@ def _drive(model, config, rows, block, compiled, observed=False):
             mp.setattr(_native, "kernels", lambda: None)
         driver = _Driver(model, config, rows.shape[1], per_block=observe, replica_offset=5)
         assert (driver.compiled is not None) == compiled
-        for start in range(0, len(rows), block):
-            driver.advance(rows[start : start + block])
+        try:
+            for start in range(0, len(rows), block):
+                driver.advance(rows[start : start + block])
+        finally:
+            # a compiled driver steps every row in C, up to an error included
+            assert not (compiled and numpy_rows), f"the numpy step took {sum(numpy_rows)} rows"
         return _Run(driver.result(), blocks, sum(numpy_rows))
 
 
@@ -73,6 +85,7 @@ def _same_bytes(a, b):
         ra.terminal.tobytes() == rb.terminal.tobytes()
         and ra.truncation_hits.tobytes() == rb.truncation_hits.tobytes()
         and ra.diverged.tobytes() == rb.diverged.tobytes()
+        and ra.initial_nodes.tobytes() == rb.initial_nodes.tobytes()
         and len(a.blocks) == len(b.blocks)
         and all(
             ka == kb and sa.tobytes() == sb.tobytes() and aa.tobytes() == ab.tobytes()
@@ -98,7 +111,7 @@ class TestBitForBit:
         horizon=st.sampled_from(["within", "one_past", "ends_on_resync", "two_resyncs"]),
         data=st.data(),
         batch=st.sampled_from([1, 2, 3, 7, 16, 33]),
-        layout=st.sampled_from(["replica_major", "time_major"]),
+        layout=st.sampled_from(["replica_major", "time_major", "coordinate_strided", "float32"]),
         far=st.booleans(),
         observed=st.booleans(),
     )
@@ -130,7 +143,7 @@ class TestBitForBit:
         horizon=st.sampled_from(["no_ring", "box_ring", "one_past", "ends_on_resync", "two_resyncs"]),
         data=st.data(),
         batch=st.sampled_from([1, 3, 33]),
-        layout=st.sampled_from(["replica_major", "time_major"]),
+        layout=st.sampled_from(["replica_major", "time_major", "coordinate_strided", "float32"]),
         far=st.booleans(),
         observed=st.booleans(),
     )
@@ -180,38 +193,64 @@ class TestBitForBit:
         assert _same_bytes(c, py)
         assert c.numpy_rows == 0
 
+    @pytest.mark.parametrize("where", ["late", "first_row", "block_start", "after_clip"])
     @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
     @pytest.mark.parametrize("example", [1, 2])
     @pytest.mark.parametrize("n_steps", [12, 40])
-    def test_nan_increment_raises_the_same_error(self, example, n_steps, observed):
+    def test_nan_increment_raises_the_same_error(self, example, n_steps, observed, where):
+        # blocks of 5 rows: row 0 starts the run, row 10 the third block; a
+        # row of 1e200 clips replica 4 just before its NaN
         step = 2.0**-4
         model = builtin_example1() if example == 1 else _example2()
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(4, 6, step, n_steps, "time_major", dim=example)
-        rows[n_steps - 3, 4, example - 1] = np.nan
+        nan_row = {"late": n_steps - 3, "first_row": 0, "block_start": 10, "after_clip": n_steps - 3}[where]
+        if where == "after_clip":
+            rows[nan_row - 1, 4, example - 1] = 1e200
+        rows[nan_row, 4, example - 1] = np.nan
         contexts = []
         for compiled in (True, False):
             with pytest.raises(NumericalError) as info:
                 _drive(model, config, rows, 5, compiled, observed=observed)
             contexts.append(info.value.context)
         assert contexts[0] == contexts[1]
-        assert (contexts[0]["replica"], contexts[0]["step"]) == (5 + 4, n_steps - 2)
+        assert (contexts[0]["replica"], contexts[0]["step"]) == (5 + 4, nan_row + 1)
+        if where == "after_clip":
+            assert contexts[0]["head_norm"] == pytest.approx(contexts[0]["radius"])
 
-    @pytest.mark.parametrize("example", [1, 2])
-    def test_overflowing_square_norm_goes_to_numpy(self, example):
-        # an increment of 1e200 makes a finite state whose squared norm
-        # overflows: C leaves that one row to the numpy step, which measures
-        # it on its own scale and puts it on the sphere
+    @pytest.mark.parametrize(
+        "example,cells",
+        [
+            (1, [(11, 2, 0)]),
+            (1, [(11, 2, 0), (11, 4, 0)]),
+            (1, [(15, 2, 0), (16, 2, 0), (17, 1, 0)]),
+            (2, [(11, 2, 0)]),
+            (2, [(11, 2, 1)]),
+            (2, [(11, 2, 0), (11, 2, 1)]),
+            (2, [(11, 2, 0), (11, 3, 1)]),
+            (2, [(15, 2, 1), (16, 2, 1)]),
+        ],
+        ids=[
+            "ex1", "ex1_two_replicas", "ex1_consecutive_rows", "ex2_first", "ex2_second",
+            "ex2_both_coordinates", "ex2_two_replicas", "ex2_consecutive_rows",
+        ],
+    )
+    def test_overflowing_square_norm_clipped_in_c(self, example, cells):
+        # an increment of 1e200 at (row, replica, coordinate) makes a finite
+        # state whose squared norm overflows: C measures it on the scale of
+        # its max|x| and puts it on the sphere, as clip_to_ball does; rows 15
+        # and 16 straddle two blocks of 8
         step, n_steps = 2.0**-4, 30
         model = builtin_example1() if example == 1 else _example2()
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(7, 5, step, n_steps, "time_major", dim=example)
-        rows[11, 2, example - 1] = 1e200
+        for cell in cells:
+            rows[cell] = 1e200
         c = _drive(model, config, rows, 8, compiled=True, observed=True)
         py = _drive(model, config, rows, 8, compiled=False, observed=True)
         assert _same_bytes(c, py)
-        assert c.numpy_rows == 1
-        assert c.result.truncation_hits[2] > 0
+        assert c.numpy_rows == 0
+        assert all(c.result.truncation_hits[replica] > 0 for _, replica, _ in cells)
 
     def test_huge_start_matches_numpy(self):
         # a start of 1e200, whose squared norm overflows, is put on the
@@ -223,6 +262,7 @@ class TestBitForBit:
         c = _drive(model, config, rows, 7, compiled=True, observed=True)
         py = _drive(model, config, rows, 7, compiled=False, observed=True)
         assert _same_bytes(c, py)
+        assert c.numpy_rows == 0
 
 
 class TestRunLength:
@@ -307,7 +347,7 @@ class TestBuild:
 
     def test_library_from_other_source_never_loaded(self, kernels, fresh_build, monkeypatch, tmp_path_factory):
         def rows_taken(found):  # no rows: C reads no pointer
-            return [found[name](0, 1, None, 1, 1, 0, 1, 1, 0.1, 1.0, 1.0, None, *[None] * 4) for name in sorted(found)]
+            return [found[name](0, 1, None, 1, 1, 1, 0, 1, 1, 0.1, 1.0, 1.0, None, *[None] * 4) for name in sorted(found)]
 
         source = _native._SOURCE
         assert rows_taken(_native.kernels()) == [0, 0]
