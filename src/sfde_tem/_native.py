@@ -1,4 +1,11 @@
-"""The compiled steps of ``_native.c``, built on first use and loaded with ctypes.
+"""The compiled steps and draws of ``_native.c``, built on first use and loaded with ctypes.
+
+``_native.c`` holds the builtin models' truncated steps (``ex1_steps``,
+``ex2_steps``) and ``draw_normals``, which fills a block of Brownian
+increments for a batch of replicas with the bits of numpy's
+``Generator(Philox(key=[seed, r])).standard_normal``: numpy's Philox and
+ziggurat, with numpy's ziggurat tables vendored as exact literals.  It is
+one C file with no dependency but the C library.
 
 ``kernels()`` compiles the source with the C compiler the first time a
 process asks for it, into a per-user cache directory (``$XDG_CACHE_HOME``,
@@ -9,7 +16,8 @@ temporary file and renamed into place, so a crash or a concurrent build
 never leaves a partial library under that name.  If the compiler is
 missing, or the build or the load fails, ``kernels()`` warns once with a
 ``RuntimeWarning`` that names the failure and returns None: every driver
-then runs on numpy alone.  Nothing here runs when the package is imported.
+then runs on numpy alone, and numpy's ``Generator`` draws the increments,
+with the same bits.  Nothing here runs when the package is imported.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ _COMPILER = "gcc"
 # no -ffast-math, and no contraction of a * b + c into one fused multiply-add:
 # either would change the bits the numpy driver gives
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_KERNELS = ("ex1_steps", "ex2_steps")
+_LIBS = ("-lm",)  # the draws call log1p and exp; after the source, so that the library records it
+_STEPS = ("ex1_steps", "ex2_steps")
+_DRAW = "draw_normals"
 
 
 class Term(ctypes.Structure):
@@ -49,7 +59,7 @@ def _library(source: bytes) -> Path:
 
     # zlib's two checksums make a 64-bit key; numpy has loaded zlib already,
     # while hashlib would map OpenSSL, about 4 MB more peak memory
-    keyed = b"\0".join([source, _COMPILER.encode(), " ".join(_FLAGS).encode(), platform.machine().encode()])
+    keyed = b"\0".join([source, _COMPILER.encode(), " ".join(_FLAGS + _LIBS).encode(), platform.machine().encode()])
     key = f"{zlib.crc32(keyed):08x}{zlib.adler32(keyed):08x}"
     cache = _cache_dir()
     path = cache / f"steps-{key}.so"
@@ -60,7 +70,7 @@ def _library(source: bytes) -> Path:
     os.close(fd)
     try:
         subprocess.run(
-            [_COMPILER, *_FLAGS, "-o", tmp, "-x", "c", "-"],
+            [_COMPILER, *_FLAGS, "-o", tmp, "-x", "c", "-", *_LIBS],
             input=source, capture_output=True, check=True, timeout=120,
         )
         os.replace(tmp, path)
@@ -72,7 +82,7 @@ def _library(source: bytes) -> Path:
 
 @functools.lru_cache(maxsize=None)
 def kernels():
-    """``{name: ctypes function}`` for each step of ``_native.c``, or None if it cannot be built or loaded.
+    """``{name: ctypes function}`` for each step of ``_native.c`` and its draw, or None if it cannot be built or loaded.
 
     Every step takes the same arguments: rows, batch, the increments' address
     and their row, replica and coordinate strides (in floats), the steps
@@ -82,24 +92,32 @@ def kernels():
     which holds the pre-clip states of the row a step stops before.  It
     returns the rows taken: all of them, unless a pre-clip state is not
     finite.
+
+    ``draw_normals`` takes the replica count, the address of their Philox
+    states (a (count, 11) uint64 array laid out as ``struct philox``), the
+    output's address and replica stride (in floats), the draws per replica
+    and the scale each draw is multiplied by.
     """
     import subprocess
 
     try:
         lib = ctypes.CDLL(str(_library(_SOURCE.read_bytes())))
-        found = {name: getattr(lib, name) for name in _KERNELS}
+        found = {name: getattr(lib, name) for name in (*_STEPS, _DRAW)}
     except subprocess.CalledProcessError as exc:
         reason = f"{_COMPILER} exited with status {exc.returncode}: {exc.stderr.decode(errors='replace').strip()}"
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
     else:
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        for fn in found.values():
-            fn.argtypes = [i64, i64, ptr, i64, i64, i64, i64, i64, i64, dbl, dbl, dbl, ctypes.POINTER(Term)] + [ptr] * 4
-            fn.restype = i64
+        for name in _STEPS:
+            found[name].argtypes = [i64, i64, ptr, *[i64] * 6, dbl, dbl, dbl, ctypes.POINTER(Term), *[ptr] * 4]
+            found[name].restype = i64
+        found[_DRAW].argtypes = [i64, ptr, ptr, i64, i64, dbl]
+        found[_DRAW].restype = None
         return found
     warnings.warn(
-        f"the compiled steps are unavailable ({reason}); example1 and example2 run on the numpy driver",
+        f"the compiled steps are unavailable ({reason}); example1 and example2 run on the numpy driver, "
+        "and numpy's Generator draws the increments",
         RuntimeWarning,
         stacklevel=3,
     )

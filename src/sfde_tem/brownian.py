@@ -14,19 +14,28 @@ total of any dyadic coarsening of it.
 time-major, one reused block of at most ``STREAM_BYTES`` at a time, with
 the same draws as ``sample_increments``: a replica's generator gives the
 same normals however its draws are split into blocks.  The block is stored
-replica-major and handed over as a transposed view, so each replica fills
-its own rows with one ``standard_normal(out=...)`` call per block, with no
-temporary.  A ``_CoarseningStream`` (blocks of at most ``SWEEP_BYTES``)
-also hands each used block, summed in place level by level, to coarser
-consumers of the same paths, so a strong-error sweep holds one block and
-no whole path.
+replica-major and handed over as a transposed view.  Its replica stride is
+padded by one 64-byte cache line when it would be a whole number of 4 KiB
+pages, as a 512-step block of one coordinate is: the driver reads a row
+across replicas, and at such a stride every read of the row falls in the
+same few cache sets.  A ``_CoarseningStream`` (blocks of at most
+``SWEEP_BYTES``) also hands each used block, summed in place level by
+level, to coarser consumers of the same paths, so a strong-error sweep
+holds one block and no whole path.
 
-Each replica's Philox bit generator is built from a seed sequence
+The compiled library (``_native.c``, ``draw_normals``) fills each block for
+all replicas in one call, each replica from its own 88-byte Philox state
+(``_philox_states``), with the bits of numpy's Philox and ziggurat; it
+needs no ``numpy.random`` at all.  If the library cannot be built, each
+replica fills its own rows with one ``standard_normal(out=...)`` call per
+block, from a Philox bit generator built from a seed sequence
 (``_key_type``) that hands over the (seed, replica) key words as they are.
 That gives the state of ``Philox(key=...)`` bit for bit at about a third
 of its cost: the keyed constructor first draws OS entropy for a seed
-sequence that the key then replaces.  A stream's bit generators live only
-as long as its ``blocks()``; nothing is kept between streams.
+sequence that the key then replaces.  ``sample_increments`` always draws
+with numpy; it is the reference that the compiled draws are tested
+against.  A stream's generator states live only as long as its
+``blocks()``; nothing is kept between streams.
 """
 
 from __future__ import annotations
@@ -121,20 +130,42 @@ def _key_type():
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 
+def _check_key(seed: int, first: int, count: int) -> None:
+    """Raise unless every key [seed, r] of replicas first..first+count-1 is two 64-bit words."""
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= first <= first + count <= 2**64:
+        raise ConfigurationError(f"replicas {first}..{first + count - 1} must lie in [0, 2^64)")
+
+
 def _bit_generators(seed: int, first: int, count: int) -> list:
     """Philox bit generators of replicas first..first+count-1, each in the state of ``Philox(key=[seed, r])``.
 
     They share one key, re-pointed before each is built; a Philox
     copies its key words when it is built and never reads them again.
     """
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
+    _check_key(seed, first, count)
     key = _key_type()(seed, first)
     bits = []
     for replica in range(first, first + count):
         key.words[1] = replica
         bits.append(np.random.Philox(key, counter=_ZERO_COUNTER))
     return bits
+
+
+def _philox_states(seed: int, first: int, count: int) -> np.ndarray:
+    """``struct philox`` of ``_native.c`` for replicas first..first+count-1, as a (count, 11) uint64 array.
+
+    Row r is the state of a new ``Philox(key=[seed, first + r])``: counter
+    0 (words 0-3), the key (4-5), an empty buffer (6-9) and position 4,
+    no buffered word left (10).
+    """
+    _check_key(seed, first, count)
+    state = np.zeros((count, 11), dtype=np.uint64)
+    state[:, 4] = seed
+    state[:, 5] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    state[:, 10] = 4
+    return state
 
 
 def _generator(seed: int, replica: int) -> np.random.Generator:
@@ -155,9 +186,12 @@ class IncrementStream:
     i equals ``sample_increments(seed, first + i, dim_noise, step,
     n_steps)[k]`` bit for bit.  ``block`` is the most steps whose rows fit
     in ``STREAM_BYTES`` (at least one, at most ``n_steps``), read when the
-    stream is built.  ``shape`` is (count, n_steps, dim_noise) and
-    ``nbytes`` the buffer's size.  Each call of ``blocks()`` restarts the
-    replicas' streams.
+    stream is built.  ``stride`` is the buffer's replica stride in floats:
+    a block's ``block * dim_noise`` floats, plus 8 when those make a
+    multiple of 4 KiB.  ``shape`` is (count, n_steps, dim_noise) and
+    ``nbytes`` the buffer's size, pad included.  Each call of ``blocks()``
+    restarts the replicas' streams.  The compiled draws fill a block in one
+    call; without the compiled library, numpy's ``Generator`` fills it.
     """
 
     def __init__(self, seed: int, first: int, count: int, dim_noise: int, step: float, n_steps: int):
@@ -166,6 +200,8 @@ class IncrementStream:
         self.step = step
         self.shape = (count, n_steps, dim_noise)
         self.block = self._block_steps()
+        row = self.block * dim_noise
+        self.stride = row + 8 * (row % 512 == 0)
 
     def _block_steps(self) -> int:
         count, n_steps, dim = self.shape
@@ -173,22 +209,36 @@ class IncrementStream:
 
     @property
     def nbytes(self) -> int:
-        count, _, dim = self.shape
-        return 8 * self.block * count * dim
+        return 8 * self.shape[0] * self.stride
 
     def blocks(self):
+        from . import _native  # here, so that importing the package does not import it
+
         count, n_steps, dim = self.shape
         scale = np.sqrt(self.step)
-        # the state lives in the bit generator: wrapping it anew for each block
-        # is cheap, and holding a Generator per replica would add 224 bytes each
-        bits = _bit_generators(self.seed, self.first, count)
-        buf = np.empty((count, self.block, dim))
+        kernels = _native.kernels()
+        if kernels is None:
+            # the state lives in the bit generator: wrapping it anew for each block
+            # is cheap, and holding a Generator per replica would add 224 bytes each
+            bits = _bit_generators(self.seed, self.first, count)
+
+            def fill(rows):
+                for bit, out in zip(bits, rows):
+                    np.random.Generator(bit).standard_normal(out=out)
+                rows *= scale
+
+        else:
+            draw, state = kernels["draw_normals"], _philox_states(self.seed, self.first, count)
+            address = state.ctypes.data
+
+            def fill(rows):
+                draw(count, address, rows.ctypes.data, self.stride, rows.shape[1], scale)
+
+        buf = np.empty((count, self.stride))
         for start in range(0, n_steps, self.block):
-            rows = buf[:, : min(self.block, n_steps - start)]
-            for bit, out in zip(bits, rows):
-                np.random.Generator(bit).standard_normal(out=out)
-            rows *= scale
-            yield rows.transpose(1, 0, 2)
+            rows = buf[:, : min(self.block, n_steps - start) * dim]
+            fill(rows)
+            yield rows.reshape(count, -1, dim).transpose(1, 0, 2)
 
 
 class _CoarseningStream(IncrementStream):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sfde_tem import brownian
+from sfde_tem import _native, brownian
 from sfde_tem.brownian import (
     IncrementStream,
     _block_sums,
@@ -135,7 +135,18 @@ class TestCoarsen:
             assert np.array_equal(total_increment(x), coarsen(x, n)[0])
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def draws(request, monkeypatch):
+    """Which draws fill a stream's blocks: the compiled library's, or numpy's, as after a failed build."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "kernels", lambda: None)
+    elif _native.kernels() is None:
+        pytest.fail("the compiled library did not build; see the RuntimeWarning")
+    return request.param
+
+
 class TestIncrementStream:
+    @pytest.mark.usefixtures("draws")
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_rows_match_sample_increments(self, monkeypatch, dim, block):
@@ -156,6 +167,66 @@ class TestIncrementStream:
         first = np.concatenate([rows.copy() for rows in stream.blocks()])
         again = np.concatenate([rows.copy() for rows in stream.blocks()])
         assert np.array_equal(first, again)
+
+    @pytest.mark.parametrize("dim, block, stride", [(1, 512, 520), (2, 256, 520), (1, 511, 511), (2, 128, 256)])
+    def test_stride_padded_by_a_cache_line_at_whole_pages(self, monkeypatch, dim, block, stride):
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * block * 5 * dim)
+        stream = IncrementStream(0, 0, 5, dim, 0.25, 2 * block)
+        assert (stream.block, stream.stride, stream.nbytes) == (block, stride, 8 * 5 * stride)
+
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64 - 1)])
+    def test_key_outside_64_bits_rejected(self, draws, seed, first):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\^64\)"):
+            next(IncrementStream(seed, first, 2, 1, 0.25, 8).blocks())
+
+
+ZIGGURAT_R = 3.6541528853610088  # numpy's ziggurat draws a normal past this from its tail
+
+
+class TestCompiledDraws:
+    # the compiled draws against numpy's Generator (sample_increments), bit
+    # for bit; step 2^-6 scales by 2^-3 exactly, so the unscaled draws show
+    @pytest.mark.parametrize(
+        "seed, first, count, dim, n_steps, block, padded",
+        [
+            (2**64 - 1, 2**32 + 5, 16, 1, 2**17, 512, True),  # 4 KiB of draws per replica and block: padded
+            (12345, 2**64 - 16, 16, 2, 2**16 + 37, 100, False),  # a short last block
+        ],
+        ids=["largest_seed_padded", "two_coordinates_short_block"],
+    )
+    @pytest.mark.usefixtures("draws")
+    def test_blocks_match_sample_increments(self, monkeypatch, seed, first, count, dim, n_steps, block, padded):
+        step, scale = 2.0**-6, 2.0**-3
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * block * count * dim)
+        stream = IncrementStream(seed, first, count, dim, step, n_steps)
+        assert stream.block == block
+        assert (stream.stride == block * dim + 8) == padded
+        expected = np.stack([sample_increments(seed, first + i, dim, step, n_steps) for i in range(count)], axis=1)
+        assert expected.size >= 2**21
+        assert np.count_nonzero(np.abs(expected / scale) > ZIGGURAT_R) > 0  # tail draws are compared too
+        for _ in range(2):  # blocks() restarts every replica's stream
+            rows = np.concatenate([rows.copy() for rows in stream.blocks()])
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_state_written_back_across_a_counter_carry(self):
+        # numpy's Philox at counter 2^192 - 3: the carry crosses three words
+        # within the first blocks; calls of 1, 6 and 41 draws each leave a
+        # partly used buffer that the next call reads
+        kernels = _native.kernels()
+        assert kernels is not None, "the compiled library did not build"
+        counter = [2**64 - 3, 2**64 - 1, 2**64 - 1, 0]
+        state = brownian._philox_states(7, 9, 1)
+        state[0, :4] = counter
+        reference = np.random.Philox(key=np.array([7, 9], dtype=np.uint64), counter=np.array(counter, np.uint64))
+        generator = np.random.Generator(reference)
+        for n in (1, 6, 41):
+            out = np.empty(n)
+            kernels["draw_normals"](1, state.ctypes.data, out.ctypes.data, n, n, 1.0)
+            assert out.tobytes() == generator.standard_normal(n).tobytes()
+            numpy_state = reference.state
+            assert state[0, :4].tolist() == numpy_state["state"]["counter"].tolist()
+            assert state[0, 6:10].tolist() == numpy_state["buffer"].tolist()
+            assert state[0, 10] == numpy_state["buffer_pos"]
 
 
 def _fresh(seed, replica):

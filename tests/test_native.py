@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfde_tem import _native, scheme
+from sfde_tem import _native, brownian, scheme
 from sfde_tem import model as model_module
-from sfde_tem.brownian import sample_increments
+from sfde_tem.brownian import IncrementStream, sample_increments
 from sfde_tem.errors import ConfigurationError, NumericalError
 from sfde_tem.model import _ex1_drift, builtin_example1, builtin_example2, builtin_gbm_oracle
 from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _Driver
@@ -331,8 +331,11 @@ class TestBuild:
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(2, 5, step, n_steps, "replica_major")
         model = builtin_example1(initial_data=_far_start)
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * 2 * 3 * 16)  # stream blocks of 16 steps
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            # the stream asks for the library first and warns; the drivers do not warn again
+            streamed = np.concatenate([block.copy() for block in IncrementStream(2, 7, 3, 2, step, n_steps).blocks()])
             results = [_Driver(model, config, 5) for _ in range(2)]
             results.append(_Driver(_example2(), config, 5))
             for driver in results:
@@ -341,19 +344,23 @@ class TestBuild:
                 driver.advance(rows)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert compiler in str(caught[0].message) and "numpy" in str(caught[0].message)
+        assert "Generator draws the increments" in str(caught[0].message)
         assert list(fresh_build.iterdir()) == []  # no partial library left behind
+        expected_rows = np.stack([sample_increments(2, 7 + i, 2, step, n_steps) for i in range(3)], axis=1)
+        assert streamed.tobytes() == expected_rows.tobytes()
         expected = _drive(model, config, rows, n_steps, compiled=False)
         assert all(_same_bytes(_Run(driver.result(), [], 0), expected) for driver in results[:2])
 
     def test_library_from_other_source_never_loaded(self, kernels, fresh_build, monkeypatch, tmp_path_factory):
         def rows_taken(found):  # no rows: C reads no pointer
-            return [found[name](0, 1, None, 1, 1, 1, 0, 1, 1, 0.1, 1.0, 1.0, None, *[None] * 4) for name in sorted(found)]
+            return [found[name](0, 1, None, 1, 1, 1, 0, 1, 1, 0.1, 1.0, 1.0, None, *[None] * 4) for name in _native._STEPS]
 
         source = _native._SOURCE
         assert rows_taken(_native.kernels()) == [0, 0]
         other = tmp_path_factory.mktemp("other") / "other.c"
         other.write_text(
             "#include <stdint.h>\nint64_t ex1_steps(void) { return -7; }\nint64_t ex2_steps(void) { return -8; }\n"
+            "void draw_normals(void) {}\n"
         )
         monkeypatch.setattr(_native, "_SOURCE", other)
         _native.kernels.cache_clear()
