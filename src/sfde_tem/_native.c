@@ -1,6 +1,7 @@
 /* The truncated Euler-Maruyama steps of the builtin models example1 and
- * example2, and the Brownian draws that drive every model (draw_normals, at
- * the end of this file, with its own notes).
+ * example2, the Brownian draws that drive every model (draw_normals, at the
+ * end of this file, with its own notes), and the strong-error sweep's
+ * in-place coarsening of a stream block (halve_rows).
  *
  * ex1_steps advances a batch of B replicas of example1,
  *     dx = (1 + 4x - 4x^3) dt + 2 (int_{-1/2}^0 x^2(t+s) ds) dB,
@@ -40,11 +41,31 @@
  * step updates no integral, so that row is (i - 1) mod (N + 1) in either
  * case.  When the run outlasts the window (K > N), the sum is recomputed from
  * the ring every N shifts.
+ *
+ * The library is built with -O3, whose cost model vectorises the steps'
+ * loops over the batch; -O2's very cheap model in gcc 12 vectorises none of
+ * them, since their trip count is the batch size.  The vectors run across
+ * replicas, elementwise, so every value takes the same operations in the
+ * same order: add, multiply, divide and sqrt are correctly rounded at every
+ * vector width, and without -ffast-math nothing is reassociated.  So that
+ * the vectors are four doubles wide where the CPU allows, ex1_steps and
+ * ex2_steps are also compiled for x86-64-v3 (AVX2) by target_clones; the
+ * loader picks a clone once, when the library is loaded, by CPUID.  The
+ * clones need glibc's ifuncs and gcc 12 or later, the first to dispatch a
+ * clone for an x86-64 ISA level, so on other platforms (or
+ * with SFDE_TEM_NO_CLONES defined, which the tests use to build the default
+ * clone alone) each step is compiled once, for the baseline target.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 12 && !defined(SFDE_TEM_NO_CLONES)
+#define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
 
 struct term {
     int64_t m;
@@ -249,6 +270,7 @@ INLINE int64_t steps(int64_t dim, int64_t rows, int64_t batch, const double *res
     return rows;
 }
 
+CLONES
 int64_t ex1_steps(int64_t rows, int64_t batch, const double *db, int64_t row_stride, int64_t replica_stride,
                   int64_t coord_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
                   double radius, const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
@@ -257,6 +279,7 @@ int64_t ex1_steps(int64_t rows, int64_t batch, const double *db, int64_t row_str
                  terms, x, hits, out, pre);
 }
 
+CLONES
 int64_t ex2_steps(int64_t rows, int64_t batch, const double *db, int64_t row_stride, int64_t replica_stride,
                   int64_t coord_stride, int64_t k, int64_t n_steps, int64_t n, double delta, double inside,
                   double radius, const struct term *terms, double *x, int64_t *hits, double *out, double *pre)
@@ -265,6 +288,35 @@ int64_t ex2_steps(int64_t rows, int64_t batch, const double *db, int64_t row_str
                  terms, x, hits, out, pre);
 }
 
+/* Halve n floats of rows of dim floats into their first n / 2: row k
+   becomes row 2k plus row 2k + 1. */
+INLINE void halve(int64_t dim, double *v, int64_t n)
+{
+    for (int64_t k = 0; k < n / (2 * dim); k++)
+        for (int64_t j = 0; j < dim; j++)
+            v[k * dim + j] = v[2 * k * dim + j] + v[(2 * k + 1) * dim + j];
+}
+
+/* Halve the first `rows` rows of dim floats of each of `count` replicas
+   `halvings` times, in place, each halving as above: the order of
+   brownian._block_sums, so 2^h rows are summed as it sums them.  Replica
+   r's rows start at buf[r * replica_stride]; rows is a multiple of
+   2^halvings.  Row k is written only after rows 2k and 2k + 1 are read.
+   Rows of one float (example1's noise) get their own copy of the loop,
+   which -O3 vectorises: inside converge-ex1 calls it took a quarter of the
+   time of the loop over a dim known only at run time. */
+void halve_rows(int64_t count, double *buf, int64_t replica_stride, int64_t rows, int64_t dim, int64_t halvings)
+{
+    for (int64_t r = 0; r < count; r++) {
+        double *v = buf + r * replica_stride;
+        for (int64_t n = rows * dim, h = 0; h < halvings; h++, n /= 2) {
+            if (dim == 1)
+                halve(1, v, n);
+            else
+                halve(dim, v, n);
+        }
+    }
+}
 
 /* The Brownian draws: draw_normals fills a block of standard normals for a
  * batch of replicas, each from its own Philox4x64-10 stream, with numpy's

@@ -1,11 +1,17 @@
-"""The compiled steps and draws of ``_native.c``, built on first use and loaded with ctypes.
+"""The compiled steps, draws and coarsening of ``_native.c``, built on first use and loaded with ctypes.
 
 ``_native.c`` holds the builtin models' truncated steps (``ex1_steps``,
-``ex2_steps``) and ``draw_normals``, which fills a block of Brownian
+``ex2_steps``), ``draw_normals``, which fills a block of Brownian
 increments for a batch of replicas with the bits of numpy's
-``Generator(Philox(key=[seed, r])).standard_normal``: numpy's Philox and
-ziggurat, with numpy's ziggurat tables vendored as exact literals.  It is
-one C file with no dependency but the C library.
+``Generator(Philox(key=[seed, r])).standard_normal`` (numpy's Philox and
+ziggurat, with numpy's ziggurat tables vendored as exact literals), and
+``halve_rows``, which sums a stream block's rows pairwise in place, in the
+order of ``brownian._block_sums``.  It is one C file with no dependency but
+the C library.  It is built with ``-O3``, so that the steps' loops over the
+batch are vectorised, and on x86-64 with glibc and gcc 12 or later the
+steps carry an AVX2 (x86-64-v3) clone besides the baseline one, of which
+the loader picks one by CPUID when the library is loaded.  Both keep the
+numpy driver's bits: the vectors run across replicas, elementwise.
 
 ``kernels()`` compiles the source with the C compiler the first time a
 process asks for it, into a per-user cache directory (``$XDG_CACHE_HOME``,
@@ -16,8 +22,9 @@ temporary file and renamed into place, so a crash or a concurrent build
 never leaves a partial library under that name.  If the compiler is
 missing, or the build or the load fails, ``kernels()`` warns once with a
 ``RuntimeWarning`` that names the failure and returns None: every driver
-then runs on numpy alone, and numpy's ``Generator`` draws the increments,
-with the same bits.  Nothing here runs when the package is imported.
+then runs on numpy alone, numpy's ``Generator`` draws the increments and
+numpy sums the coarser levels, with the same bits.  Nothing here runs when
+the package is imported.
 """
 
 from __future__ import annotations
@@ -30,12 +37,14 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _COMPILER = "gcc"
-# no -ffast-math, and no contraction of a * b + c into one fused multiply-add:
-# either would change the bits the numpy driver gives
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -O3 vectorises the steps' loops over the batch; no -ffast-math, and no
+# contraction of a * b + c into one fused multiply-add: either would change
+# the bits the numpy driver gives
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)  # the draws call log1p and exp; after the source, so that the library records it
 _STEPS = ("ex1_steps", "ex2_steps")
 _DRAW = "draw_normals"
+_HALVE = "halve_rows"
 
 
 class Term(ctypes.Structure):
@@ -82,7 +91,7 @@ def _library(source: bytes) -> Path:
 
 @functools.lru_cache(maxsize=None)
 def kernels():
-    """``{name: ctypes function}`` for each step of ``_native.c`` and its draw, or None if it cannot be built or loaded.
+    """``{name: ctypes function}`` for the steps, draw and halving of ``_native.c``, or None if it cannot be built.
 
     Every step takes the same arguments: rows, batch, the increments' address
     and their row, replica and coordinate strides (in floats), the steps
@@ -97,12 +106,17 @@ def kernels():
     states (a (count, 11) uint64 array laid out as ``struct philox``), the
     output's address and replica stride (in floats), the draws per replica
     and the scale each draw is multiplied by.
+
+    ``halve_rows`` takes the replica count, the address of their rows and
+    their replica stride (in floats), the rows, the floats per row and the
+    halvings: each replica's first rows / 2^halvings rows become the sums
+    of its 2^halvings-row blocks, summed pairwise.
     """
     import subprocess
 
     try:
         lib = ctypes.CDLL(str(_library(_SOURCE.read_bytes())))
-        found = {name: getattr(lib, name) for name in (*_STEPS, _DRAW)}
+        found = {name: getattr(lib, name) for name in (*_STEPS, _DRAW, _HALVE)}
     except subprocess.CalledProcessError as exc:
         reason = f"{_COMPILER} exited with status {exc.returncode}: {exc.stderr.decode(errors='replace').strip()}"
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
@@ -114,10 +128,12 @@ def kernels():
             found[name].restype = i64
         found[_DRAW].argtypes = [i64, ptr, ptr, i64, i64, dbl]
         found[_DRAW].restype = None
+        found[_HALVE].argtypes = [i64, ptr, *[i64] * 4]
+        found[_HALVE].restype = None
         return found
     warnings.warn(
         f"the compiled steps are unavailable ({reason}); example1 and example2 run on the numpy driver, "
-        "and numpy's Generator draws the increments",
+        "numpy's Generator draws the increments and numpy sums the coarser levels",
         RuntimeWarning,
         stacklevel=3,
     )

@@ -26,7 +26,10 @@ holds one block and no whole path.
 The compiled library (``_native.c``, ``draw_normals``) fills each block for
 all replicas in one call, each replica from its own 88-byte Philox state
 (``_philox_states``), with the bits of numpy's Philox and ziggurat; it
-needs no ``numpy.random`` at all.  If the library cannot be built, each
+needs no ``numpy.random`` at all.  Its ``halve_rows`` sums a block into
+a coarser level in one call per level, pairwise in ``_block_sums``'s
+order; without the library numpy does (``_coarsen_in_place``), with the
+same bits.  If the library cannot be built, each
 replica fills its own rows with one ``standard_normal(out=...)`` call per
 block, from a Philox bit generator built from a seed sequence
 (``_key_type``) that hands over the (seed, replica) key words as they are.
@@ -251,7 +254,8 @@ class _CoarseningStream(IncrementStream):
     steps; read when the stream is built), so it holds whole steps of every
     level.  ``blocks()`` yields each block; once the consumer asks for the
     next one, the block it has used is summed in place, each level from the
-    one before, and handed to that level's callable.  Blocks are aligned
+    one before (by the compiled ``halve_rows``, or by numpy without the
+    library), and handed to that level's callable.  Blocks are aligned
     powers of two, so every level is bit-identical to ``coarsen`` of the
     fine path.  ``totals[b]`` is block b's sum, one node of the pairs
     ``total_increment`` adds over the whole path.
@@ -263,11 +267,20 @@ class _CoarseningStream(IncrementStream):
         self.totals = np.empty((n_steps // self.block, count, dim_noise))
 
     def blocks(self):
+        from . import _native
+
+        kernels = _native.kernels()
+        count, _, dim = self.shape
         for b, rows in enumerate(super().blocks()):
             yield rows
             done = 1
             for factor, advance in self.levels:
-                rows = _coarsen_in_place(rows, factor // done)
+                if kernels is None:
+                    rows = _coarsen_in_place(rows, factor // done)
+                else:
+                    halvings = (factor // done).bit_length() - 1
+                    kernels["halve_rows"](count, rows.ctypes.data, self.stride, len(rows), dim, halvings)
+                    rows = rows[: len(rows) >> halvings]
                 done = factor
                 advance(rows)
             self.totals[b] = _block_sums(rows, len(rows), axis=0)[0]

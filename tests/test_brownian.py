@@ -299,24 +299,64 @@ class TestGeneratorKeys:
         assert out.stdout.strip() == "False"
 
 
+@pytest.fixture(params=["compiled", "gcc_fails"])
+def library(request, monkeypatch, tmp_path):
+    """The compiled library, or none: a compiler that exits 1 and an empty cache, so numpy draws and sums."""
+    _native.kernels.cache_clear()
+    if request.param == "gcc_fails":
+        monkeypatch.setattr(_native, "_COMPILER", "false")
+        monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+        with pytest.warns(RuntimeWarning, match="the compiled steps are unavailable"):
+            assert _native.kernels() is None
+    elif _native.kernels() is None:
+        pytest.fail("the compiled library did not build; see the RuntimeWarning")
+    yield request.param
+    _native.kernels.cache_clear()
+
+
+def _check_levels_and_totals(monkeypatch, dim, n_steps, factors, sweep_bytes):
+    """Run a coarsening stream of 3 replicas and check its fine rows, levels and totals against
+    each whole path, byte for byte; return the stream."""
+    seed, first, count, step = 5, 2, 3, 2.0**-7
+    got = {f: [] for f in factors}
+    levels = [(f, lambda rows, f=f: got[f].append(rows.copy())) for f in factors]
+    monkeypatch.setattr(brownian, "SWEEP_BYTES", sweep_bytes)
+    stream = _CoarseningStream(seed, first, count, dim, step, n_steps, levels)
+    fine = np.stack([row.copy() for rows in stream.blocks() for row in rows])
+    assert stream.totals.shape == (n_steps // stream.block, count, dim)
+    for i in range(count):
+        path = sample_increments(seed, first + i, dim, step, n_steps)
+        assert fine[:, i].tobytes() == path.tobytes()
+        for f, rows in got.items():
+            assert np.concatenate(rows)[:, i].tobytes() == coarsen(path, f).tobytes()
+        total = _block_sums(stream.totals[:, i], len(stream.totals), axis=0)[0]
+        assert total.tobytes() == total_increment(path).tobytes()
+    return stream
+
+
 class TestCoarseningStream:
     @pytest.mark.parametrize("sweep_bytes, block", [(0, 8), (8 * 2 * 32 * 3 * 2 - 1, 32), (brownian.SWEEP_BYTES, 128)])
     def test_levels_and_totals_match_whole_paths(self, monkeypatch, sweep_bytes, block):
         # K = 128 fine steps, factors 2, 4 and 8: blocks of 8, 32 or all 128 steps
-        seed, first, count, dim, step, n_steps = 5, 2, 3, 2, 2.0**-7, 128
-        got = {f: [] for f in (2, 4, 8)}
-        levels = [(f, lambda rows, f=f: got[f].append(rows.copy())) for f in (2, 4, 8)]
-        monkeypatch.setattr(brownian, "SWEEP_BYTES", sweep_bytes)
-        stream = _CoarseningStream(seed, first, count, dim, step, n_steps, levels)
-        assert stream.block == block
-        fine = np.stack([row.copy() for rows in stream.blocks() for row in rows])
-        assert stream.totals.shape == (n_steps // block, count, dim)
-        for i in range(count):
-            path = sample_increments(seed, first + i, dim, step, n_steps)
-            assert np.array_equal(fine[:, i], path)
-            for f, rows in got.items():
-                assert np.array_equal(np.concatenate(rows)[:, i], coarsen(path, f))
-            assert np.array_equal(_block_sums(stream.totals[:, i], len(stream.totals), axis=0)[0], total_increment(path))
+        assert _check_levels_and_totals(monkeypatch, 2, 128, (2, 4, 8), sweep_bytes).block == block
+
+    @pytest.mark.usefixtures("library")
+    @pytest.mark.parametrize(
+        "dim, n_steps, factors, sweep_bytes, block, stride",
+        [
+            (2, 128, (2, 4, 8), 0, 8, 16),
+            (2, 768, (4, 8, 256), brownian.SWEEP_BYTES, 256, 520),  # 4 KiB of rows per replica: padded
+            (1, 1536, (16, 64, 128, 256, 512), brownian.SWEEP_BYTES, 512, 520),  # converge-ex1's factors
+        ],
+        ids=["blocks_of_8", "two_coordinates_padded", "one_coordinate_padded"],
+    )
+    def test_levels_and_totals_bit_for_bit_on_both_paths(
+        self, monkeypatch, dim, n_steps, factors, sweep_bytes, block, stride
+    ):
+        # the compiled halving, or numpy's slabs when gcc fails; three or
+        # more blocks each, so levels and totals cross blocks
+        stream = _check_levels_and_totals(monkeypatch, dim, n_steps, factors, sweep_bytes)
+        assert (stream.block, stream.stride) == (block, stride)
 
     @pytest.mark.parametrize("factor", [2, 4, 16])
     def test_in_place_sums_across_slabs(self, factor):
@@ -328,6 +368,46 @@ class TestCoarseningStream:
         assert out.shape == expected.shape
         assert np.shares_memory(out, rows)
         assert np.array_equal(out, expected)
+
+
+def _same_bits_but_nan_payloads(a, b):
+    """Equal NaN positions, and every other float bit for bit.
+
+    Which NaN a sum of two NaNs keeps is not fixed even in numpy:
+    ``np.nan + -np.nan`` over a (3, 3, 2) block gives NaNs of both signs in
+    one call.  Brownian increments are finite; the other bits are kept.
+    """
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestHalveRows:
+    # the compiled halving of a stream buffer against _block_sums; replica 0
+    # holds inf and -inf in one pair of rows and NaN in its last row, replica
+    # 1 only -0.0, replica 2 -0.0 and 0.0 in turn, replicas 3 and 4 one inf
+    # and one -inf, so every level sums them and keeps NaN, infinities and -0.0
+    @pytest.mark.parametrize("halvings", range(1, 10))
+    @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])  # 3: the loop for any other dim
+    def test_matches_block_sums(self, dim, padded, halvings):
+        kernels = _native.kernels()
+        assert kernels is not None, "the compiled library did not build"
+        count, rows = 6, 512
+        stride = rows * dim + 8 * padded
+        buf = np.random.default_rng(halvings).normal(size=(count, stride))
+        view = buf[:, : rows * dim].reshape(count, rows, dim).transpose(1, 0, 2)
+        view[:2, 0], view[-1, 0] = [[np.inf], [-np.inf]], np.nan
+        view[:, 1] = -0.0
+        view[1::2, 2] = 0.0
+        view[0::2, 2] = -0.0
+        view[5, 3], view[-1, 4] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            expected = _block_sums(view, 2**halvings, axis=0)
+        assert np.isnan(expected).any() and np.isinf(expected).any() and np.signbit(expected[:, 1]).all()
+        pad = buf[:, rows * dim :].copy()
+        kernels["halve_rows"](count, buf.ctypes.data, stride, rows, dim, halvings)
+        assert _same_bits_but_nan_payloads(view[: rows >> halvings], expected)
+        assert buf[:, rows * dim :].tobytes() == pad.tobytes()  # the pad is not touched
 
 
 class TestRatioAsInt:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -47,6 +48,19 @@ def _increments(seed, batch, step, n_steps, layout, dim=1):
     return rows.astype(np.float32) if layout == "float32" else rows
 
 
+@pytest.fixture(scope="session")
+def default_clone_cache(tmp_path_factory):
+    """The library cache of the build without target clones, shared by the tests that use that build."""
+    return tmp_path_factory.mktemp("default-clone")
+
+
+def _default_clone_build(monkeypatch, cache):
+    """Point the loader at ``_native.c`` built with SFDE_TEM_NO_CLONES: each step once, for the baseline target."""
+    monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, "-DSFDE_TEM_NO_CLONES"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    _native.kernels.cache_clear()
+
+
 @dataclasses.dataclass
 class _Run:
     result: scheme.BatchResult
@@ -54,8 +68,9 @@ class _Run:
     numpy_rows: int  # rows the numpy step took
 
 
-def _drive(model, config, rows, block, compiled, observed=False):
-    """Run a driver over ``rows`` in blocks; ``compiled=False`` hides the compiled steps, as a failed build does."""
+def _drive(model, config, rows, block, compiled, observed=False, default_clone=None):
+    """Run a driver over ``rows`` in blocks; ``compiled=False`` hides the compiled steps, as a failed build does,
+    and ``default_clone``, a cache directory, steps on the build without target clones kept there."""
     blocks, numpy_rows = [], []
     observe = (lambda k0, states, alive: blocks.append((k0, states.copy(), alive.copy()))) if observed else None
     advance_numpy = _Driver._advance_numpy
@@ -68,15 +83,27 @@ def _drive(model, config, rows, block, compiled, observed=False):
         mp.setattr(_Driver, "_advance_numpy", counted)
         if not compiled:
             mp.setattr(_native, "kernels", lambda: None)
-        driver = _Driver(model, config, rows.shape[1], per_block=observe, replica_offset=5)
-        assert (driver.compiled is not None) == compiled
+        elif default_clone is not None:
+            _default_clone_build(mp, default_clone)
         try:
+            driver = _Driver(model, config, rows.shape[1], per_block=observe, replica_offset=5)
+            assert (driver.compiled is not None) == compiled
             for start in range(0, len(rows), block):
                 driver.advance(rows[start : start + block])
         finally:
+            if default_clone is not None:
+                _native.kernels.cache_clear()  # the next call loads the usual build again
             # a compiled driver steps every row in C, up to an error included
             assert not (compiled and numpy_rows), f"the numpy step took {sum(numpy_rows)} rows"
         return _Run(driver.result(), blocks, sum(numpy_rows))
+
+
+def _compiled_runs(model, config, rows, block, default_clone_cache, observed=False):
+    """``_drive`` on the library as built and on the build without target clones: where the CPU has AVX2, the
+    loader picks the x86-64-v3 clone of each step from the first, and only the second runs the default clone."""
+    return [
+        _drive(model, config, rows, block, True, observed, default_clone=cache) for cache in (None, default_clone_cache)
+    ]
 
 
 def _same_bytes(a, b):
@@ -115,7 +142,9 @@ class TestBitForBit:
         far=st.booleans(),
         observed=st.booleans(),
     )
-    def test_example1_matches_numpy_driver(self, seed, n_hist, horizon, data, batch, layout, far, observed):
+    def test_example1_matches_numpy_driver(
+        self, default_clone_cache, seed, n_hist, horizon, data, batch, layout, far, observed
+    ):
         # steps 1/2N, dyadic (2^-3..2^-7) or not, where a fused multiply-add
         # would round differently; K <= N runs without a ring, K = N + 1 wraps
         # it once and resyncs once, K in {N, 2N, 3N} ends on a resync step,
@@ -131,10 +160,10 @@ class TestBitForBit:
         model = builtin_example1(initial_data=_far_start if far else None)
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(seed, batch, step, n_steps, layout)
-        c = _drive(model, config, rows, block, compiled=True, observed=observed)
         py = _drive(model, config, rows, block, compiled=False, observed=observed)
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
+        for c in _compiled_runs(model, config, rows, block, default_clone_cache, observed=observed):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,7 +176,9 @@ class TestBitForBit:
         far=st.booleans(),
         observed=st.booleans(),
     )
-    def test_example2_matches_numpy_driver(self, seed, half, horizon, data, batch, layout, far, observed):
+    def test_example2_matches_numpy_driver(
+        self, default_clone_cache, seed, half, horizon, data, batch, layout, far, observed
+    ):
         # N even in 4..64, the boxcar's support starting at node N/2: K <= N/2
         # keeps no ring, N/2 < K <= N a boxcar ring of K rows and no resync,
         # K = N + 1 wraps both rings, K in {N, 2N, 3N} ends on a resync step
@@ -165,39 +196,39 @@ class TestBitForBit:
         model = _example2(far)
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(seed, batch, step, n_steps, layout, dim=2)
-        c = _drive(model, config, rows, block, compiled=True, observed=observed)
         py = _drive(model, config, rows, block, compiled=False, observed=observed)
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
+        for c in _compiled_runs(model, config, rows, block, default_clone_cache, observed=observed):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
 
     @pytest.mark.parametrize("exponent,n_steps", [(4, 8), (4, 40), (10, 700)])
-    def test_clipped_rows_taken_by_c(self, exponent, n_steps):
+    def test_clipped_rows_taken_by_c(self, default_clone_cache, exponent, n_steps):
         step = 2.0**-exponent
         model = builtin_example1(initial_data=_far_start)
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(11, 9, step, n_steps, "replica_major")
-        c = _drive(model, config, rows, 64, compiled=True)
         py = _drive(model, config, rows, 64, compiled=False)
         assert py.result.truncation_hits.sum() > 0
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
+        for c in _compiled_runs(model, config, rows, 64, default_clone_cache):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
 
-    def test_example2_clips_in_c(self):
+    def test_example2_clips_in_c(self, default_clone_cache):
         # stability-ex2's shape, cut to 200 steps of 40 replicas: many rows clip
         step, n_steps = 2.0**-6, 200
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(0, 40, step, n_steps, "replica_major", dim=2)
-        c = _drive(_example2(), config, rows, 65, compiled=True, observed=True)
         py = _drive(_example2(), config, rows, 65, compiled=False, observed=True)
         assert py.result.truncation_hits.sum() > 0
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
+        for c in _compiled_runs(_example2(), config, rows, 65, default_clone_cache, observed=True):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
 
     @pytest.mark.parametrize("where", ["late", "first_row", "block_start", "after_clip"])
     @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
     @pytest.mark.parametrize("example", [1, 2])
     @pytest.mark.parametrize("n_steps", [12, 40])
-    def test_nan_increment_raises_the_same_error(self, example, n_steps, observed, where):
+    def test_nan_increment_raises_the_same_error(self, default_clone_cache, example, n_steps, observed, where):
         # blocks of 5 rows: row 0 starts the run, row 10 the third block; a
         # row of 1e200 clips replica 4 just before its NaN
         step = 2.0**-4
@@ -209,11 +240,11 @@ class TestBitForBit:
             rows[nan_row - 1, 4, example - 1] = 1e200
         rows[nan_row, 4, example - 1] = np.nan
         contexts = []
-        for compiled in (True, False):
+        for compiled, cache in ((True, None), (True, default_clone_cache), (False, None)):
             with pytest.raises(NumericalError) as info:
-                _drive(model, config, rows, 5, compiled, observed=observed)
+                _drive(model, config, rows, 5, compiled, observed=observed, default_clone=cache)
             contexts.append(info.value.context)
-        assert contexts[0] == contexts[1]
+        assert contexts[0] == contexts[1] == contexts[2]
         assert (contexts[0]["replica"], contexts[0]["step"]) == (5 + 4, nan_row + 1)
         if where == "after_clip":
             assert contexts[0]["head_norm"] == pytest.approx(contexts[0]["radius"])
@@ -235,7 +266,7 @@ class TestBitForBit:
             "ex2_both_coordinates", "ex2_two_replicas", "ex2_consecutive_rows",
         ],
     )
-    def test_overflowing_square_norm_clipped_in_c(self, example, cells):
+    def test_overflowing_square_norm_clipped_in_c(self, default_clone_cache, example, cells):
         # an increment of 1e200 at (row, replica, coordinate) makes a finite
         # state whose squared norm overflows: C measures it on the scale of
         # its max|x| and puts it on the sphere, as clip_to_ball does; rows 15
@@ -246,23 +277,23 @@ class TestBitForBit:
         rows = _increments(7, 5, step, n_steps, "time_major", dim=example)
         for cell in cells:
             rows[cell] = 1e200
-        c = _drive(model, config, rows, 8, compiled=True, observed=True)
         py = _drive(model, config, rows, 8, compiled=False, observed=True)
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
-        assert all(c.result.truncation_hits[replica] > 0 for _, replica, _ in cells)
+        for c in _compiled_runs(model, config, rows, 8, default_clone_cache, observed=True):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
+        assert all(py.result.truncation_hits[replica] > 0 for _, replica, _ in cells)
 
-    def test_huge_start_matches_numpy(self):
+    def test_huge_start_matches_numpy(self, default_clone_cache):
         # a start of 1e200, whose squared norm overflows, is put on the
         # sphere with the initial data; the steps from there keep their bits
         step, n_steps = 2.0**-4, 30
         model = builtin_example1(initial_data=lambda theta: np.array([1e200]))
         config = SchemeConfig(step=step, horizon=n_steps * step)
         rows = _increments(3, 4, step, n_steps, "replica_major")
-        c = _drive(model, config, rows, 7, compiled=True, observed=True)
         py = _drive(model, config, rows, 7, compiled=False, observed=True)
-        assert _same_bytes(c, py)
-        assert c.numpy_rows == 0
+        for c in _compiled_runs(model, config, rows, 7, default_clone_cache, observed=True):
+            assert _same_bytes(c, py)
+            assert c.numpy_rows == 0
 
 
 class TestRunLength:
@@ -314,6 +345,11 @@ class TestOnlyQualifyingDrivers:
         assert _Driver(make(), config, 3).compiled is None
 
 
+def _gcc_major():
+    version = subprocess.run([_native._COMPILER, "-dumpversion"], capture_output=True, text=True, check=True).stdout
+    return int(version.split(".")[0])
+
+
 @pytest.fixture
 def fresh_build(monkeypatch, tmp_path):
     """A loader that has not run in this process, with its cache in ``tmp_path``."""
@@ -360,7 +396,7 @@ class TestBuild:
         other = tmp_path_factory.mktemp("other") / "other.c"
         other.write_text(
             "#include <stdint.h>\nint64_t ex1_steps(void) { return -7; }\nint64_t ex2_steps(void) { return -8; }\n"
-            "void draw_normals(void) {}\n"
+            "void draw_normals(void) {}\nvoid halve_rows(void) {}\n"
         )
         monkeypatch.setattr(_native, "_SOURCE", other)
         _native.kernels.cache_clear()
@@ -369,6 +405,20 @@ class TestBuild:
         _native.kernels.cache_clear()
         assert rows_taken(_native.kernels()) == [0, 0]
         assert len([p for p in fresh_build.iterdir() if p.suffix == ".so"]) == 2
+
+    def test_clones_compiled_out_by_the_test_macro(self, kernels, monkeypatch, default_clone_cache):
+        # gcc names the clone of a step <name>.arch_x86_64_v3 in the symbol table
+        source = _native._SOURCE.read_bytes()
+        if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc" and _gcc_major() >= 12:
+            assert b"ex1_steps.arch_x86_64_v3" in _native._library(source).read_bytes()
+        _default_clone_build(monkeypatch, default_clone_cache)
+        try:
+            assert _native.kernels() is not None
+            built = _native._library(source).read_bytes()
+        finally:
+            _native.kernels.cache_clear()
+        assert all(name.encode() in built for name in (*_native._STEPS, _native._DRAW, _native._HALVE))
+        assert b".arch_x86_64_v3" not in built
 
     def test_import_and_model_construction_build_nothing(self, tmp_path):
         # numpy itself imports ctypes, so what is checked is that the loader
