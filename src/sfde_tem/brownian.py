@@ -58,7 +58,7 @@ SWEEP_BYTES = 2**22
 
 def ratio_as_int(numerator: float, denominator: float, what: str = "ratio") -> int:
     """Round numerator/denominator to an integer, requiring 1e-9 relative closeness."""
-    ratio = numerator / denominator
+    ratio = numerator / denominator if denominator else math.inf  # a step may underflow to 0.0
     if not math.isfinite(ratio):
         raise ConfigurationError(f"{what} {numerator}/{denominator} = {ratio} is not a positive integer")
     k = round(ratio)

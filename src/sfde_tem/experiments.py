@@ -33,7 +33,6 @@ from .segment import Segment, _sum_last_axis, constant_weight
 RING_ENTRIES = 2**22
 MOMENT_FLOOR = 1e-300
 MIN_SAMPLES = 100
-OBSERVE_FLOATS = 2**14
 
 
 @dataclass
@@ -183,23 +182,6 @@ def fit_rate(table: ErrorTable) -> float:
     return float(slope)
 
 
-def _in_slices(observe: Callable) -> Callable:
-    """The block observer ``observe``, handed its block in slices of whole steps of at most ``OBSERVE_FLOATS`` states.
-
-    The observers reduce one step at a time, so slices give the same bytes
-    as the whole block; they only keep the temporaries small: a few hundred
-    KB, where a whole block's would add about 1.5 MB at criterion 5's shape
-    (65 steps of 1000 two-dimensional replicas).
-    """
-
-    def call(k0, states, alive):
-        rows = max(1, OBSERVE_FLOATS // max(1, math.prod(states.shape[1:])))
-        for lo in range(0, len(states), rows):
-            observe(k0 + lo, states[lo : lo + rows], alive[lo : lo + rows])
-
-    return call
-
-
 def _report_index(n_steps: int, report_every: int) -> np.ndarray:
     """Grid indices 0, r, 2r, ... of the reported points, always ending at the last index K."""
     idx = np.arange(0, n_steps + 1, max(1, int(report_every)))
@@ -232,7 +214,6 @@ def moment_estimate(
     counts = np.zeros(n_steps + 1, dtype=np.int64)
     diverged = 0
 
-    @_in_slices
     def observe(k0, states, alive):
         # each step's row is reduced as a (B,) array would be: numpy sums a
         # C-order row pairwise whether or not other rows lie before it
@@ -291,7 +272,6 @@ def stability_decay(
     sums_state = np.zeros((n_steps + 1, model.dim_state))
     terminal_norms = np.empty(samples)
 
-    @_in_slices
     def observe(k0, states, alive):
         rows = slice(k0, k0 + len(states))
         sums_p[rows] += (_sum_last_axis(states * states) ** (0.5 * p_exponent)).sum(axis=1)
@@ -347,14 +327,15 @@ def admissible_nu(b1: float, b2: float, b3: float, b4: float, p_exponent: float,
 
     located by bracket doubling and bisection to 1e-9.
     """
-    if not (b1 > b2 >= 0.0):
-        raise ValueError(f"need b1 > b2 >= 0, got b1={b1}, b2={b2}")
-    if not (b3 > b4 >= 0.0):
-        raise ValueError(f"need b3 > b4 >= 0, got b3={b3}, b4={b4}")
+    # an infinite constant would keep the bracket doubling from stopping
+    if not (math.inf > b1 > b2 >= 0.0):
+        raise ValueError(f"need finite b1 > b2 >= 0, got b1={b1}, b2={b2}")
+    if not (math.inf > b3 > b4 >= 0.0):
+        raise ValueError(f"need finite b3 > b4 >= 0, got b3={b3}, b4={b4}")
     if not 2 <= p_exponent < math.inf:
         raise ValueError(f"moment exponent must be finite and >= 2, got {p_exponent}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
     def margin_one(nu: float) -> float:
         return 0.5 * p_exponent * (b1 - b2 * math.exp(min(nu * tau, 700.0))) - nu

@@ -395,6 +395,9 @@ def builtin_gbm_oracle(a: float, b: float, x0: float, tau: float = 1.0 / 32.0) -
     ``tau`` only fixes the (irrelevant) history grid; the default 1/32
     divides every dyadic step 2^-j with j >= 5.
     """
+    for name, value in (("a", a), ("b", b), ("x0", x0)):
+        if not math.isfinite(value):
+            raise ValueError(f"oracle parameter {name} must be finite, got {value}")
     if x0 == 0:
         raise ValueError("oracle initial value x0 must be nonzero")
 

@@ -35,8 +35,9 @@ cubes as products (``h * h * h``), which numpy evaluates far faster than
 stepped in C alone (``_Compiled``, built from ``_native.c``), with the same
 bits, clip and hit counts included, and the same error on a state that is
 not finite; the numpy step takes every other driver.  An observer
-(``per_block``) is handed the states of each block of rows at once, from a
-buffer the driver's step writes.
+(``per_block``) is handed the states of a run of steps at once, at most
+``OBSERVE_FLOATS`` states or a single step per call, from a buffer of that
+size that the driver's step writes.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ from .segment import (
 TRUNCATED_EM = "truncated_em"
 CLASSIC_EM = "classic_em"
 _VARIANTS = (TRUNCATED_EM, CLASSIC_EM)
+# the most states an observed driver hands ``per_block`` per call (or one step, if that holds more)
+OBSERVE_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -383,13 +386,16 @@ class _Driver:
 
     Building the driver sets up the window on the initial data and calls
     ``per_block`` at k = 0; each ``advance(rows)`` takes one step per (B, d)
-    row of ``rows``, then calls ``per_block`` once with the states of those
-    steps, and ``result()`` returns the outcome once all K steps are taken.
+    row of ``rows``, and ``result()`` returns the outcome once all K steps
+    are taken.  An observed driver steps ``rows`` in slices of
+    max(1, ``OBSERVE_FLOATS`` // (B n)) rows and calls ``per_block`` once
+    per slice with the states of its steps, written into buffers made once
+    for that many rows; an unobserved one steps all of ``rows`` in one call.
     The caller hands over exactly K rows in all; a block's rows are read
     only while its ``advance`` runs.  The window holds the step count, the
     newest states, K and Delta; the driver the per-replica tallies and the
-    block buffers an observer reads.  A driver with a compiled step
-    (``_Compiled``) is stepped by it alone, every other by ``_advance_numpy``.
+    buffers an observer reads.  A driver with a compiled step (``_Compiled``)
+    is stepped by it alone, every other by ``_advance_numpy``.
     """
 
     def __init__(
@@ -420,27 +426,27 @@ class _Driver:
         self.div_step = np.full(batch, -1, dtype=np.int64)
         # step k writes its pre-clip states into buffer k % 2, never the head's
         self.pre = np.empty((2, batch, model.dim_state))
-        # the states and alive masks of the block being stepped, grown to the longest block
-        self.states = np.empty((0, batch, model.dim_state))
-        self.alive_rows = np.ones((0, batch), dtype=bool)
+        # the states and alive masks of the slice being stepped, for an observer
+        rows = 0 if per_block is None else max(1, OBSERVE_FLOATS // max(1, batch * model.dim_state))
+        self.states = np.empty((rows, batch, model.dim_state))
+        self.alive_rows = np.ones((rows, batch), dtype=bool)
         self.compiled = _Compiled.for_driver(self) if self.truncated else None
         if per_block is not None:
             per_block(0, self.window.head[None], self.alive[None])
 
     def advance(self, rows) -> None:
         observed = self.per_block is not None
-        if observed and len(self.states) < len(rows):
-            self.states = np.empty((len(rows),) + self.states.shape[1:])
-            self.alive_rows = np.ones((len(rows),) + self.alive_rows.shape[1:], dtype=bool)
-        k0 = self.window.shifts + 1
-        if self.compiled is None:
-            self._advance_numpy(rows)
-        elif self.compiled.take(rows, self.states if observed else None) < len(rows):
-            raise self._non_finite(self.compiled.pre)
-        if observed:
-            # as the steps do, the observer may meet a diverged classic replica's overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.per_block(k0, self.states[: len(rows)], self.alive_rows[: len(rows)])
+        size = len(self.states) if observed else max(1, len(rows))
+        for lo in range(0, len(rows), size):
+            part, k0 = rows[lo : lo + size], self.window.shifts + 1
+            if self.compiled is None:
+                self._advance_numpy(part)
+            elif self.compiled.take(part, self.states if observed else None) < len(part):
+                raise self._non_finite(self.compiled.pre)
+            if observed:
+                # as the steps do, the observer may meet a diverged classic replica's overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self.per_block(k0, self.states[: len(part)], self.alive_rows[: len(part)])
 
     def _non_finite(self, pre: np.ndarray) -> NumericalError:
         """The error of the next step, whose (B, n) pre-clip states ``pre`` are not all finite."""
@@ -603,13 +609,14 @@ def _run_batch(
     ``increments`` is an array (a transposed view of time-major (K, B, d)
     storage reads each step's row contiguously; rows past K are ignored) or
     an ``IncrementStream`` of exactly K steps, stepped over block by block.
-    ``per_block(k0, states, alive)`` is invoked once at k0 = 0 and once per
-    block of rows, with the (L, B, n) post-truncation states of grid indices
-    k0..k0+L-1 and the (L, B) mask of replicas still alive (all True in the
-    truncated variant); the arrays are only valid during the call and must
-    not be written to, as they are the driver's buffers or the window's
-    head.  All arithmetic is elementwise across the batch, so results are
-    independent of how replicas are batched.
+    ``per_block(k0, states, alive)`` is invoked once at k0 = 0 and then
+    with the (L, B, n) post-truncation states of grid indices k0..k0+L-1
+    and the (L, B) mask of replicas still alive (all True in the truncated
+    variant), L at most max(1, ``OBSERVE_FLOATS`` // (B n)); the arrays are
+    only valid during the call and must not be written to, as they are the
+    driver's buffers or the window's head.  All arithmetic is elementwise
+    across the batch, so results are independent of how replicas are
+    batched.
     """
     _, _, n_steps = resolve_grid(model, config)
     if isinstance(increments, IncrementStream):

@@ -425,3 +425,8 @@ class TestRatioAsInt:
     def test_rejects_non_finite(self, numerator):
         with pytest.raises(ConfigurationError, match="horizon/step"):
             ratio_as_int(numerator, 0.25, "horizon/step")
+
+    @pytest.mark.parametrize("denominator", [0.0, -0.0, 2.0**-1100])
+    def test_rejects_zero_denominator(self, denominator):
+        with pytest.raises(ConfigurationError, match="step/step_ref .* = inf is not a positive integer"):
+            ratio_as_int(2.0**-5, denominator, "step/step_ref")

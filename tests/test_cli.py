@@ -231,6 +231,49 @@ class TestMainExitCodes:
         assert captured.out == "" and not out.exists()
         assert "configuration error" in captured.err and "moment exponent" in captured.err
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--tau", "nan"], "tau"),
+            (["--tau", "inf"], "tau"),
+            (["--b1", "inf", "--b2", "0.25", "--b3", "3.75", "--b4", "0.75"], "b1"),
+            (["--b1", "2.75", "--b2", "0.25", "--b3", "inf", "--b4", "0.75"], "b3"),
+            (["--b1", "2.75", "--b2", "nan", "--b3", "3.75", "--b4", "0.75"], "b2"),
+        ],
+        ids=["tau_nan", "tau_inf", "b1_inf", "b3_inf", "b2_nan"],
+    )
+    def test_non_finite_nu_constant_exit_two(self, args, name, capsys):
+        assert main(["nu"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "finite" in captured.err and name in captured.err
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["convergence", "--b", "inf", "--steps", "5", "--ref-exponent", "7", "--samples", "100"], "b"),
+            (["simulate", "--a", "inf"], "a"),
+            (["simulate", "--a", "nan"], "a"),
+            (["simulate", "--x0=-inf"], "x0"),
+        ],
+        ids=["convergence_b_inf", "simulate_a_inf", "simulate_a_nan", "simulate_x0_inf"],
+    )
+    def test_non_finite_gbm_parameter_exit_two(self, args, name, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(args + ["--model", "gbm", "--horizon", "1", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and f"parameter {name} must be finite" in captured.err
+
+    def test_underflowing_reference_step_exit_two(self, tmp_path, capsys):
+        # 2^-1100 rounds to 0.0
+        out = tmp_path / "c.csv"
+        args = ["convergence", "--ref-exponent", "1100", "--steps", "5", "--samples", "100", "--horizon", "1"]
+        assert main(args + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and "step/step_ref" in captured.err
+
     def test_seed_outside_key_range_exit_two(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["simulate", "--horizon", "1", "--seed", str(2**64), "--output", str(out)]) == 2

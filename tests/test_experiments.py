@@ -74,6 +74,11 @@ class TestStrongError:
         with pytest.raises(ConfigurationError, match=f"seed .* got {seed}"):
             strong_error(m, [2.0**-5], 2.0**-7, 1.0, 100, seed)
 
+    def test_zero_reference_step_rejected(self):
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match=r"step/step_ref 0.03125/0.0 = inf is not a positive integer"):
+            strong_error(m, [2.0**-5], 0.0, 1.0, 100, 0)
+
     def test_single_step_returns_table_without_slope(self):
         a, b, x0 = 1.0, 0.5, 1.0
         m = builtin_gbm_oracle(a, b, x0)
@@ -480,6 +485,15 @@ class TestAdmissibleNu:
     def test_non_finite_exponent(self, p):
         with pytest.raises(ValueError, match="moment exponent"):
             admissible_nu(11.0 / 4.0, 1.0 / 4.0, 15.0 / 4.0, 3.0 / 4.0, p, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["b1", "b2", "b3", "b4", "tau"])
+    def test_non_finite_constant(self, name, value):
+        # an infinite margin once kept the bracket doubling from stopping, and a NaN tau gave nu = 0
+        args = dict(b1=11.0 / 4.0, b2=1.0 / 4.0, b3=15.0 / 4.0, b4=3.0 / 4.0, p_exponent=2.0, tau=0.5)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"finite.*{name}=|{name} must be positive and finite"):
+            admissible_nu(**args)
 
 
 class TestPhiDiagnostic:

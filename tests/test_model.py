@@ -261,6 +261,14 @@ class TestBuiltinGbm:
         with pytest.raises(ValueError):
             builtin_gbm_oracle(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "x0"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        params = dict(a=1.0, b=0.5, x0=1.0)
+        params[name] = value
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            builtin_gbm_oracle(**params)
+
     def test_coefficients_deterministic(self):
         m = builtin_gbm_oracle(0.7, -0.2, 1.0)
         seg = constant_segment([1.3], m.tau, 2)

@@ -810,6 +810,72 @@ class TestRunningIntegralResync:
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
+class TestObserverCap:
+    """An observed driver hands ``per_block`` at most ``OBSERVE_FLOATS`` states per call, or a single step, from
+    buffers made once for that many states; the observed states are those of one-step blocks, byte for byte."""
+
+    @staticmethod
+    def _observe(m, cfg, seed, count):
+        n_steps = resolve_grid(m, cfg)[2]
+        stream = IncrementStream(seed, 0, count, m.dim_noise, cfg.step, n_steps)
+        calls = []
+        driver = scheme._Driver(
+            m, cfg, count, per_block=lambda k0, states, alive: calls.append((k0, states.copy(), alive.copy()))
+        )
+        for block in stream.blocks():
+            driver.advance(block)
+        return driver, calls, driver.result()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize(
+        "model_factory, variant, step, count, cap",
+        [
+            # criterion 5's shape: 65-step stream blocks of 1000 two-dimensional replicas, 8 steps per call
+            (builtin_example2, TRUNCATED_EM, 2.0**-6, 1000, None),
+            # more states per step than the cap: one step per call
+            (builtin_example2, TRUNCATED_EM, 2.0**-6, 9, 17),
+            # a cap that divides no stream block, and a classic run whose replicas diverge
+            (builtin_example1, CLASSIC_EM, 2.0**-2, 200, 600),
+        ],
+        ids=["criterion5", "one_step", "classic"],
+    )
+    def test_calls_capped_and_bytes_kept(self, monkeypatch, model_factory, variant, step, count, cap, compiled):
+        from sfde_tem import _native
+
+        if cap is not None:
+            monkeypatch.setattr(scheme, "OBSERVE_FLOATS", cap)
+        if not compiled:
+            monkeypatch.setattr(_native, "kernels", lambda: None)
+        m, cfg = model_factory(), SchemeConfig(step, 2.0, variant)
+        driver, calls, res = self._observe(m, cfg, 5, count)
+        assert (driver.compiled is not None) == (compiled and variant == TRUNCATED_EM)
+        states_per_step = count * m.dim_state
+        assert driver.states.nbytes <= 8 * max(scheme.OBSERVE_FLOATS, states_per_step)
+        assert len(calls) > 2 and calls[0][0] == 0 and len(calls[0][1]) == 1
+        k = 0
+        for k0, states, alive in calls:
+            assert k0 == k and len(states) == len(alive) >= 1
+            assert states.size <= scheme.OBSERVE_FLOATS or len(states) == 1
+            k += len(states)
+        assert k == resolve_grid(m, cfg)[2] + 1
+        if variant == CLASSIC_EM:
+            assert res.diverged.any() and not res.diverged.all()
+        if cap is None:
+            assert max(len(states) for _, states, _ in calls) == 8  # 2^14 // 2000
+
+        monkeypatch.setattr(brownian, "STREAM_BYTES", 1)  # one step per stream block
+        _, single_calls, single = self._observe(m, cfg, 5, count)
+        for name in ("terminal", "truncation_hits", "diverged", "divergence_step"):
+            assert getattr(res, name).tobytes() == getattr(single, name).tobytes()
+        for i in (1, 2):  # the states, then the alive masks, of every grid index
+            joined = [np.concatenate([c[i] for c in run]).tobytes() for run in (calls, single_calls)]
+            assert joined[0] == joined[1]
+
+    def test_unobserved_driver_keeps_no_buffer(self):
+        driver = scheme._Driver(builtin_example2(), SchemeConfig(2.0**-6, 1.0), 1000)
+        assert driver.states.size == 0 and driver.alive_rows.size == 0
+
+
 class TestDriverErrors:
     def test_nan_drift_in_one_replica_names_replica_and_step(self):
         base = builtin_example1()
