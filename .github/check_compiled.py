@@ -1,19 +1,24 @@
-"""Build and load the compiled library, and check that its draws and coarsening have numpy's bits.
+"""Build and load the compiled library, and check that its draws, coarsening and observed sums have numpy's bits.
 
 Run with ``PYTHONPATH=src``; exits non-zero if the library does not build or
-load, if a stream's first block differs from ``sample_increments``, or if a
+load, if a stream's first block differs from ``sample_increments``, if a
 level of a coarsening stream's block differs from ``coarsen`` of those
-increments.
+increments, or if the squared norms or per-step sums of an observed block of
+example2 differ from the numpy expressions they replace.
 """
 
 import sys
 
-from sfde_tem import _native, brownian
+import numpy as np
+
+from sfde_tem import _native, brownian, builtin_example2
+from sfde_tem.scheme import SchemeConfig, _run_batch
+from sfde_tem.segment import _sum_last_axis
 
 kernels = _native.kernels()
 if kernels is None:
     sys.exit("the compiled library did not build or load; see the RuntimeWarning")
-missing = [name for name in (*_native._STEPS, _native._DRAW, _native._HALVE) if name not in kernels]
+missing = [name for name in (*_native._STEPS, _native._DRAW, _native._HALVE, _native._SUMS) if name not in kernels]
 if missing:
     sys.exit(f"the compiled library lacks {missing}")
 seed, first, count, dim, step, n_steps = 1, 2**32, 3, 2, 2.0**-6, 4096
@@ -38,4 +43,25 @@ for i in range(count):
     for f, (got,) in levels.items():
         if got[:, i].tobytes() != brownian.coarsen(path, f).tobytes():
             sys.exit(f"replica {first + i}: the compiled halving by {f} differs from coarsen")
-print(f"compiled steps, draws and halving load; {rows.size} draws and {len(factors)} coarser levels match numpy's")
+# one observed block of stability-ex2's shape, (8, 1000, 2): the steps 33..40
+# of 1000 replicas of example2, reduced in C and by numpy
+blocks = []
+step, n_steps, count = 2.0**-6, 40, 1000
+stream = brownian.IncrementStream(seed, 0, count, 2, step, n_steps)
+_run_batch(
+    builtin_example2(), SchemeConfig(step, n_steps * step), stream,
+    per_block=lambda k0, states, alive: blocks.append(states.copy()),
+)
+states = blocks[-1]
+if states.shape != (8, count, 2):
+    sys.exit(f"the last observed block has shape {states.shape}")
+sq, cols = np.empty((8, count)), np.empty((8, 2))
+kernels[_native._SUMS](8, count, 2, states.ctypes.data, sq.ctypes.data, cols.ctypes.data)
+if sq.tobytes() != _sum_last_axis(states * states).tobytes():
+    sys.exit("the compiled squared norms of an observed block differ from numpy's")
+if cols.tobytes() != np.array([row.sum(axis=0) for row in states]).tobytes():
+    sys.exit("the compiled sums over replicas of an observed block differ from numpy's")
+print(
+    f"compiled steps, draws, halving and sums load; {rows.size} draws, {len(factors)} coarser levels "
+    "and an observed block's sums match numpy's"
+)

@@ -1,7 +1,9 @@
 /* The truncated Euler-Maruyama steps of the builtin models example1 and
  * example2, the Brownian draws that drive every model (draw_normals, at the
- * end of this file, with its own notes), and the strong-error sweep's
- * in-place coarsening of a stream block (halve_rows).
+ * end of this file, with its own notes), the strong-error sweep's
+ * in-place coarsening of a stream block (halve_rows), and the squared norms
+ * and per-step sums over replicas that the moment and stability observers
+ * take of a block of observed states (observed_sums).
  *
  * ex1_steps advances a batch of B replicas of example1,
  *     dx = (1 + 4x - 4x^3) dt + 2 (int_{-1/2}^0 x^2(t+s) ds) dB,
@@ -316,6 +318,47 @@ void halve_rows(int64_t count, double *buf, int64_t replica_stride, int64_t rows
                 halve(dim, v, n);
         }
     }
+}
+
+/* The sums of rows of dim floats, for a (rows, batch, dim) block x as
+   above: sq[l * batch + b] = 0.0 + x0 * x0 + x1 * x1 + ... of the state of
+   replica b at step l, and, if cols is not NULL, cols[l * dim + c] = 0.0 +
+   x[l, 0, c] + x[l, 1, c] + ..., each added in that order.  Replicas are
+   the outer loop, so that the rows * dim column sums are independent adds
+   in the inner one, not one long chain per column. */
+INLINE void sums(int64_t dim, int64_t rows, int64_t batch, const double *restrict x, double *restrict sq,
+                 double *restrict cols)
+{
+    for (int64_t i = 0; i < rows * batch; i++) {
+        double s = 0.0;
+        for (int64_t j = 0; j < dim; j++)
+            s += x[i * dim + j] * x[i * dim + j];
+        sq[i] = s;
+    }
+    if (cols == NULL)
+        return;
+    for (int64_t i = 0; i < rows * dim; i++)
+        cols[i] = 0.0;
+    for (int64_t b = 0; b < batch; b++)
+        for (int64_t l = 0; l < rows; l++)
+            for (int64_t j = 0; j < dim; j++)
+                cols[l * dim + j] += x[(l * batch + b) * dim + j];
+}
+
+/* The squared norms and, if cols is not NULL, the per-step column sums of
+   an observed block of states, as sums() above, in the order of
+   segment._sum_last_axis(x * x) and of numpy's x[l].sum(axis=0) of a
+   C-ordered (batch, dim) step of dim >= 2 columns.  The dims of the
+   builtin models get their own copies of the loops, compiled for a dim
+   known at compile time. */
+void observed_sums(int64_t rows, int64_t batch, int64_t dim, const double *x, double *sq, double *cols)
+{
+    if (dim == 1)
+        sums(1, rows, batch, x, sq, cols);
+    else if (dim == 2)
+        sums(2, rows, batch, x, sq, cols);
+    else
+        sums(dim, rows, batch, x, sq, cols);
 }
 
 /* The Brownian draws: draw_normals fills a block of standard normals for a

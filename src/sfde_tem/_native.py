@@ -4,13 +4,17 @@
 ``ex2_steps``), ``draw_normals``, which fills a block of Brownian
 increments for a batch of replicas with the bits of numpy's
 ``Generator(Philox(key=[seed, r])).standard_normal`` (numpy's Philox and
-ziggurat, with numpy's ziggurat tables vendored as exact literals), and
+ziggurat, with numpy's ziggurat tables vendored as exact literals),
 ``halve_rows``, which sums a stream block's rows pairwise in place, in the
-order of ``brownian._block_sums``.  It is one C file with no dependency but
-the C library.  It is built with ``-O3``, so that the steps' loops over the
-batch are vectorised, and on x86-64 with glibc and gcc 12 or later the
-steps carry an AVX2 (x86-64-v3) clone besides the baseline one, of which
-the loader picks one by CPUID when the library is loaded.  Both keep the
+order of ``brownian._block_sums``, and ``observed_sums``, which reduces a
+block of observed states to the squared norms and per-step state sums the
+moment and stability observers take, in the order of the numpy expressions
+they replace (``experiments._observed_sums``).  It is one C file with no
+dependency but the C library.  It is built with ``-O3``, so that the
+steps' loops over the batch are vectorised, and on x86-64 with glibc and
+gcc 12 or later the steps carry an AVX2 (x86-64-v3) clone besides the
+baseline one, of which the loader picks one by CPUID when the library is
+loaded.  Both keep the
 numpy driver's bits: the vectors run across replicas, elementwise.
 
 ``kernels()`` compiles the source with the C compiler the first time a
@@ -23,8 +27,8 @@ never leaves a partial library under that name.  If the compiler is
 missing, or the build or the load fails, ``kernels()`` warns once with a
 ``RuntimeWarning`` that names the failure and returns None: every driver
 then runs on numpy alone, numpy's ``Generator`` draws the increments and
-numpy sums the coarser levels, with the same bits.  Nothing here runs when
-the package is imported.
+numpy sums the coarser levels and the observed blocks, with the same bits.
+Nothing here runs when the package is imported.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ _LIBS = ("-lm",)  # the draws call log1p and exp; after the source, so that the 
 _STEPS = ("ex1_steps", "ex2_steps")
 _DRAW = "draw_normals"
 _HALVE = "halve_rows"
+_SUMS = "observed_sums"
 
 
 class Term(ctypes.Structure):
@@ -91,7 +96,7 @@ def _library(source: bytes) -> Path:
 
 @functools.lru_cache(maxsize=None)
 def kernels():
-    """``{name: ctypes function}`` for the steps, draw and halving of ``_native.c``, or None if it cannot be built.
+    """``{name: ctypes function}`` for the steps, draw, halving and sums of ``_native.c``, or None if it cannot be built.
 
     Every step takes the same arguments: rows, batch, the increments' address
     and their row, replica and coordinate strides (in floats), the steps
@@ -111,12 +116,17 @@ def kernels():
     their replica stride (in floats), the rows, the floats per row and the
     halvings: each replica's first rows / 2^halvings rows become the sums
     of its 2^halvings-row blocks, summed pairwise.
+
+    ``observed_sums`` takes the steps L, the replica count B and the
+    coordinates n of a C-ordered (L, B, n) float64 block, its address, and
+    the addresses of an (L, B) output for the squared norms and of an (L, n)
+    output for the per-step sums over replicas (or None, to skip them).
     """
     import subprocess
 
     try:
         lib = ctypes.CDLL(str(_library(_SOURCE.read_bytes())))
-        found = {name: getattr(lib, name) for name in (*_STEPS, _DRAW, _HALVE)}
+        found = {name: getattr(lib, name) for name in (*_STEPS, _DRAW, _HALVE, _SUMS)}
     except subprocess.CalledProcessError as exc:
         reason = f"{_COMPILER} exited with status {exc.returncode}: {exc.stderr.decode(errors='replace').strip()}"
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
@@ -130,6 +140,8 @@ def kernels():
         found[_DRAW].restype = None
         found[_HALVE].argtypes = [i64, ptr, *[i64] * 4]
         found[_HALVE].restype = None
+        found[_SUMS].argtypes = [i64, i64, i64, ptr, ptr, ptr]
+        found[_SUMS].restype = None
         return found
     warnings.warn(
         f"the compiled steps are unavailable ({reason}); example1 and example2 run on the numpy driver, "

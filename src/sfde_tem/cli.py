@@ -260,7 +260,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         return run(parse_config(text, overrides))
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, MemoryError) as exc:
+        # MemoryError: a run whose arrays numpy cannot allocate, say a horizon of 1e15 steps
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, DegenerateFitError) as exc:

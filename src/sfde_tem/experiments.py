@@ -218,7 +218,8 @@ def moment_estimate(
         # each step's row is reduced as a (B,) array would be: numpy sums a
         # C-order row pairwise whether or not other rows lie before it
         rows = slice(k0, k0 + len(states))
-        pow_p = _sum_last_axis(states * states) ** (0.5 * p_exponent)
+        sq, _ = _observed_sums(states, columns=False)
+        pow_p = sq ** (0.5 * p_exponent)
         if classic:
             pow_p = np.where(alive, pow_p, 0.0)
             counts[rows] += alive.sum(axis=1)
@@ -234,8 +235,9 @@ def moment_estimate(
         estimates = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     times = np.arange(n_steps + 1) * delta
     idx = _report_index(n_steps, report_every)
-    finite = estimates[np.isfinite(estimates)]
-    running_max = float(finite.max()) if finite.size else float("nan")
+    # NaN marks a step with no live replica; an overflowed estimate, inf, is the maximum
+    estimated = estimates[~np.isnan(estimates)]
+    running_max = float(estimated.max()) if estimated.size else float("nan")
     return MomentCurve(
         times=times[idx],
         moments=estimates[idx],
@@ -274,8 +276,9 @@ def stability_decay(
 
     def observe(k0, states, alive):
         rows = slice(k0, k0 + len(states))
-        sums_p[rows] += (_sum_last_axis(states * states) ** (0.5 * p_exponent)).sum(axis=1)
-        sums_state[rows] += _column_sums(states)
+        sq, columns = _observed_sums(states, columns=True)
+        sums_p[rows] += (sq ** (0.5 * p_exponent)).sum(axis=1)
+        sums_state[rows] += columns
 
     for start, count in _batches(samples, n_hist, model.dim_state, n_steps):
         inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
@@ -307,17 +310,37 @@ def stability_decay(
     )
 
 
-def _column_sums(states: np.ndarray) -> np.ndarray:
-    """``states[l].sum(axis=0)`` for each l of (L, B, n) states, bit for bit, stacked to (L, n).
+def _observed_sums(states: np.ndarray, columns: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The squared norms (L, B) of (L, B, n) states and, if ``columns``, each step's sums over replicas (L, n).
 
-    numpy sums a C-order (B, n) array of n >= 2 columns down axis 0 one row
-    after another, starting from 0.0, but loops over the short rows to do
-    it; one accumulation gives the same bytes in one pass.  Other layouts,
-    and a single column, are summed pairwise, so each step keeps ``sum``.
+    They are the bytes of ``_sum_last_axis(states * states)`` and of
+    ``states[l].sum(axis=0)`` stacked over l, but for the sign of a NaN.
+    The compiled ``observed_sums`` takes both in one pass over a C-ordered
+    float64 block of 1 <= n < 8 coordinates, the sums over replicas only for
+    n >= 2: numpy sums a C-order (B, n) array of n >= 2 columns down axis 0
+    one row after another, starting from 0.0, as C does, but a single column
+    pairwise.  Without the library, numpy takes them, a C-ordered block's
+    sums of n >= 2 columns in one accumulation, which adds in the same order.
+    Other layouts, and a single column, keep ``sum``.
     """
-    if states.shape[1] and states.shape[2] > 1 and states.flags.c_contiguous:
-        return 0.0 + np.add.accumulate(states, axis=1)[:, -1]
-    return np.array([step.sum(axis=0) for step in states]).reshape(len(states), states.shape[2])
+    from . import _native  # here, so that importing the package does not import it
+
+    steps, batch, dim = states.shape
+    kernels, flags = _native.kernels(), states.flags
+    sums = None
+    if kernels is not None and 0 < dim < 8 and states.dtype == np.float64 and flags.c_contiguous and flags.aligned:
+        sq = np.empty((steps, batch))
+        sums = np.empty((steps, dim)) if columns and dim > 1 else None
+        kernels[_native._SUMS](
+            steps, batch, dim, states.ctypes.data, sq.ctypes.data, None if sums is None else sums.ctypes.data
+        )
+    else:
+        sq = _sum_last_axis(states * states)
+    if not columns or sums is not None:
+        return sq, sums
+    if batch and dim > 1 and flags.c_contiguous:
+        return sq, 0.0 + np.add.accumulate(states, axis=1)[:, -1]
+    return sq, np.array([step.sum(axis=0) for step in states]).reshape(steps, dim)
 
 
 def admissible_nu(b1: float, b2: float, b3: float, b4: float, p_exponent: float, tau: float) -> float:

@@ -159,6 +159,14 @@ class TestRun:
         assert float(last[1]) == pytest.approx(1.0)
         assert float(last[2]) == pytest.approx(1.0)
 
+    def test_moments_summary_is_the_last_running_max(self, tmp_path, capsys):
+        # p = 1e308 overflows every moment past t = 0: both say inf
+        out = tmp_path / "m.csv"
+        args = ["moments", "--model", "gbm", "--p", "1e308", "--samples", "100", "--horizon", "1"]
+        assert main(args + ["--output", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert capsys.readouterr().out.strip() == f"running_max={last[2]}" == "running_max=inf"
+
     def test_stability_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         cfg = parse_config(
@@ -201,6 +209,18 @@ class TestMainExitCodes:
         )
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [["stability", "--model", "example2", "--samples", "100"], ["simulate"]], ids=["stability", "simulate"]
+    )
+    def test_unallocatable_run_exit_two(self, args, tmp_path, capsys):
+        # a horizon of 1e15 needs arrays of 455 PiB, which numpy refuses
+        # before allocating any of them
+        out = tmp_path / "big.csv"
+        assert main(args + ["--horizon", "1e15", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("configuration error: Unable to allocate 455. PiB")
 
     def test_bad_nu_constants_exit_two(self, capsys):
         assert main(["nu", "--b1", "1", "--b2", "2", "--b3", "2", "--b4", "0"]) == 2

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sfde_tem
-from sfde_tem import brownian, experiments
+from sfde_tem import _native, brownian, experiments
 from sfde_tem.brownian import _CoarseningStream, coarsen, sample_increments, total_increment
 from sfde_tem.errors import ConfigurationError, DegenerateFitError
 from sfde_tem.experiments import (
@@ -22,7 +22,7 @@ from sfde_tem.experiments import (
 )
 from sfde_tem.model import builtin_example1, builtin_example2, builtin_gbm_oracle, gbm_closed_form
 from sfde_tem.scheme import CLASSIC_EM, TRUNCATED_EM, SchemeConfig, _run_batch
-from sfde_tem.segment import Segment, constant_segment
+from sfde_tem.segment import Segment, _sum_last_axis, constant_segment
 from test_segment import _SPECIAL
 
 
@@ -327,6 +327,14 @@ class TestMomentEstimate:
         assert curve.diverged > 0
         assert np.all(np.isfinite(curve.moments[np.isfinite(curve.moments)]))
 
+    def test_running_max_keeps_an_overflowed_moment(self):
+        # |Y|^p overflows for p = 1e308 once a replica leaves |Y| = 1: the
+        # maximum is that inf, not the 1 of t = 0, the only finite estimate
+        m = builtin_gbm_oracle(1.0, 0.5, 1.0)
+        curve = moment_estimate(m, SchemeConfig(2.0**-6, 1.0), 1e308, 100, 0)
+        assert curve.moments[0] == 1.0 and np.isinf(curve.moments).any()
+        assert curve.running_max == math.inf
+
     def test_invalid_exponent(self):
         m = builtin_gbm_oracle(0.0, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
@@ -384,40 +392,113 @@ class TestStabilityDecay:
             stability_decay(m, SchemeConfig(2.0**-5, 1.0), p, 100, 0)
 
 
+def _same_bits_but_nan_payloads(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.fixture(params=["compiled", "failed_build"])
+def observed_sums_calls(request, monkeypatch, tmp_path):
+    """The library the observers reduce their blocks with, as built or after a failed build.
+
+    As built, the compiled ``observed_sums`` is wrapped to record its calls,
+    and their list is yielded; after a failed build (a compiler that exits 1
+    and an empty cache) numpy reduces every block, and None is yielded.
+    """
+    if request.param == "compiled":
+        kernels = _native.kernels()
+        assert kernels is not None, "the compiled library did not build"
+        calls, kernel = [], kernels[_native._SUMS]
+        monkeypatch.setitem(kernels, _native._SUMS, lambda *args: calls.append(args) or kernel(*args))
+        yield calls
+        return
+    monkeypatch.setattr(_native, "_COMPILER", "false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _native.kernels.cache_clear()
+    with pytest.warns(RuntimeWarning, match="compiled steps are unavailable"):
+        assert _native.kernels() is None
+    yield None
+    _native.kernels.cache_clear()  # the next call loads the library as built
+
+
 class TestColumnSums:
-    @given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 4), st.sampled_from("CF"), st.data())
-    def test_byte_identical_to_numpy_sum_down_replicas(self, steps, batch, n, order, data):
-        # the stability observer's per-coordinate state sums of a (L, B, n)
-        # block against the states.sum(axis=0) of each step they replace, in
-        # either memory layout
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 9), st.sampled_from("CF"), st.data())
+    def test_byte_identical_to_numpy_sum_down_replicas(self, observed_sums_calls, steps, batch, n, order, data):
+        # the observers' squared norms and per-coordinate state sums of a
+        # (L, B, n) block against the _sum_last_axis(states * states) and the
+        # states.sum(axis=0) of each step they replace, in either memory
+        # layout; C takes a C-ordered block of n < 8 coordinates
         entries = st.one_of(_SPECIAL, st.floats(-1e300, 1e300))
         size = steps * batch * n
         values = data.draw(st.lists(entries, min_size=size, max_size=size))
         states = np.asarray(np.array(values).reshape(steps, batch, n), order=order)
+        before = None if observed_sums_calls is None else len(observed_sums_calls)
         with np.errstate(over="ignore", invalid="ignore"):
+            expect_sq = _sum_last_axis(states * states)
             expect = np.array([step.sum(axis=0) for step in states])
-            got = experiments._column_sums(states)
-        nan = np.isnan(expect)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == expect[~nan].tobytes()
+            sq, sums = experiments._observed_sums(states, columns=True)
+            sq_alone, none = experiments._observed_sums(states, columns=False)
+        assert none is None and sums.shape == (steps, n) and sq.shape == (steps, batch)
+        assert _same_bits_but_nan_payloads(sq, expect_sq)
+        assert _same_bits_but_nan_payloads(sq_alone, expect_sq)
+        assert _same_bits_but_nan_payloads(sums, expect)
+        if observed_sums_calls is not None:
+            compiled = states.flags.c_contiguous and n < 8
+            assert len(observed_sums_calls) - before == 2 * compiled
+            if compiled:  # the column sums of a single column are numpy's
+                assert [args[-1] is None for args in observed_sums_calls[-2:]] == [n == 1, True]
 
-    def test_byte_identical_on_driver_states(self):
+    def test_byte_identical_on_driver_states(self, observed_sums_calls):
         # 1000 replicas of example2 after 40 steps, a row of a C-order block
-        # of the sizes criterion 5 sums, and the broadcast initial head at k = 0
+        # of the sizes criterion 5 sums, and the initial head at k = 0, which
+        # the numpy driver broadcasts
         m = builtin_example2()
         seen = []
 
         def observe(k0, states, alive):
-            sums = experiments._column_sums(states)
+            sq, sums = experiments._observed_sums(states, columns=True)
             for i in range(len(states)):
                 if k0 + i in (0, 40):
-                    seen.append((states[i].sum(axis=0), sums[i]))
+                    seen.append((_sum_last_axis(states[i] * states[i]), states[i].sum(axis=0), sq[i], sums[i]))
 
         cfg = SchemeConfig(2.0**-6, 40 * 2.0**-6)
         _run_batch(m, cfg, brownian.IncrementStream(3, 0, 1000, 2, 2.0**-6, 40), per_block=observe)
         assert len(seen) == 2
-        for expect, got in seen:
-            assert got.tobytes() == expect.tobytes()
+        for expect_sq, expect, sq, sums in seen:
+            assert sq.tobytes() == expect_sq.tobytes()
+            assert sums.tobytes() == expect.tobytes()
+        if observed_sums_calls is not None:
+            assert len(observed_sums_calls) == 6  # the head and five blocks of 8 steps
+
+    def test_harnesses_identical_on_both_paths(self, monkeypatch, tmp_path):
+        # the observers' results with every block reduced in C, and again
+        # after a failed build, with numpy's reductions, the numpy driver and
+        # numpy's draws; the classic run's diverging replicas meet the
+        # reductions as overflows
+        runs = {
+            "stability": lambda: stability_decay(builtin_example2(), SchemeConfig(2.0**-5, 3.0), 2.0, 150, 8),
+            "moments": lambda: moment_estimate(builtin_example1(), SchemeConfig(2.0**-4, 3.0), 3.0, 150, 8),
+            "classic": lambda: moment_estimate(
+                builtin_example1(initial_data=lambda theta: np.array([8.0])),
+                SchemeConfig(2.0**-4, 2.0, CLASSIC_EM), 2.0, 100, 1,
+            ),
+        }
+        assert _native.kernels() is not None, "the compiled library did not build"
+        compiled = {name: run() for name, run in runs.items()}
+        monkeypatch.setattr(_native, "_COMPILER", "false")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _native.kernels.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="compiled steps are unavailable"):
+                numpy = {name: run() for name, run in runs.items()}
+        finally:
+            _native.kernels.cache_clear()
+        assert compiled["classic"].diverged > 0 and np.isnan(compiled["classic"].moments).any()
+        for name, result in compiled.items():
+            for field, value in vars(result).items():
+                expect = np.asarray(vars(numpy[name])[field])
+                assert _same_bits_but_nan_payloads(np.asarray(value), expect), (name, field)
 
 
 class TestObserverBlocks:

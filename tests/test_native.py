@@ -396,7 +396,7 @@ class TestBuild:
         other = tmp_path_factory.mktemp("other") / "other.c"
         other.write_text(
             "#include <stdint.h>\nint64_t ex1_steps(void) { return -7; }\nint64_t ex2_steps(void) { return -8; }\n"
-            "void draw_normals(void) {}\nvoid halve_rows(void) {}\n"
+            "void draw_normals(void) {}\nvoid halve_rows(void) {}\nvoid observed_sums(void) {}\n"
         )
         monkeypatch.setattr(_native, "_SOURCE", other)
         _native.kernels.cache_clear()
@@ -417,7 +417,7 @@ class TestBuild:
             built = _native._library(source).read_bytes()
         finally:
             _native.kernels.cache_clear()
-        assert all(name.encode() in built for name in (*_native._STEPS, _native._DRAW, _native._HALVE))
+        assert all(name.encode() in built for name in (*_native._STEPS, _native._DRAW, _native._HALVE, _native._SUMS))
         assert b".arch_x86_64_v3" not in built
 
     def test_import_and_model_construction_build_nothing(self, tmp_path):
