@@ -1,9 +1,9 @@
 """Build and load the compiled library, and check that its draws, coarsening and observed sums have numpy's bits.
 
 Run with ``PYTHONPATH=src``; exits non-zero if the library does not build or
-load, if a stream's first block differs from ``sample_increments``, if a
-level of a coarsening stream's block differs from ``coarsen`` of those
-increments, or if the squared norms or per-step sums of an observed block of
+load, if a stream's first block or ``generate``'s path differs from numpy's
+``Generator(Philox(key=[seed, r]))``, if a level of a coarsening stream's
+block differs from ``coarsen`` of those increments, or if the squared norms or per-step sums of an observed block of
 example2 differ from the numpy expressions they replace.
 """
 
@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from sfde_tem import _native, brownian, builtin_example2
+from sfde_tem import _native, brownian, builtin_example2, generate
 from sfde_tem.scheme import SchemeConfig, _run_batch
 from sfde_tem.segment import _sum_last_axis
 
@@ -21,12 +21,22 @@ if kernels is None:
 missing = [name for name in (*_native._STEPS, _native._DRAW, _native._HALVE, _native._SUMS) if name not in kernels]
 if missing:
     sys.exit(f"the compiled library lacks {missing}")
+
+
+def numpy_draws(seed, replica, dim, step, count):
+    generator = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+    return generator.standard_normal((count, dim)) * np.sqrt(step)
+
+
 seed, first, count, dim, step, n_steps = 1, 2**32, 3, 2, 2.0**-6, 4096
 rows = next(brownian.IncrementStream(seed, first, count, dim, step, n_steps).blocks())
 for i in range(count):
-    expected = brownian.sample_increments(seed, first + i, dim, step, len(rows))
+    expected = numpy_draws(seed, first + i, dim, step, len(rows))
     if rows[:, i].tobytes() != expected.tobytes():
         sys.exit(f"replica {first + i}: the compiled draws differ from numpy's")
+    path = generate(seed, first + i, dim, step, n_steps * step).increments
+    if path.tobytes() != numpy_draws(seed, first + i, dim, step, n_steps).tobytes():
+        sys.exit(f"replica {first + i}: generate's draws differ from numpy's")
 # one block of 256 steps of 2 coordinates, 4 KiB per replica and so a padded
 # stride, summed in place by the compiled halving at every level
 factors, n_steps = (2, 8, 16, 256), 256
@@ -39,7 +49,7 @@ if (stream.block, stream.stride) != (n_steps, n_steps * dim + 8):
 for _ in stream.blocks():
     pass
 for i in range(count):
-    path = brownian.sample_increments(seed, first + i, dim, step, n_steps)
+    path = numpy_draws(seed, first + i, dim, step, n_steps)
     for f, (got,) in levels.items():
         if got[:, i].tobytes() != brownian.coarsen(path, f).tobytes():
             sys.exit(f"replica {first + i}: the compiled halving by {f} differs from coarsen")
@@ -62,6 +72,6 @@ if sq.tobytes() != _sum_last_axis(states * states).tobytes():
 if cols.tobytes() != np.array([row.sum(axis=0) for row in states]).tobytes():
     sys.exit("the compiled sums over replicas of an observed block differ from numpy's")
 print(
-    f"compiled steps, draws, halving and sums load; {rows.size} draws, {len(factors)} coarser levels "
-    "and an observed block's sums match numpy's"
+    f"compiled steps, draws, halving and sums load; {rows.size} stream draws, generate's paths, "
+    f"{len(factors)} coarser levels and an observed block's sums match numpy's"
 )

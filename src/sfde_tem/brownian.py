@@ -23,28 +23,26 @@ same few cache sets.  A ``_CoarseningStream`` (blocks of at most
 level, to coarser consumers of the same paths, so a strong-error sweep
 holds one block and no whole path.
 
-The compiled library (``_native.c``, ``draw_normals``) fills each block for
-all replicas in one call, each replica from its own 88-byte Philox state
-(``_philox_states``), with the bits of numpy's Philox and ziggurat; it
-needs no ``numpy.random`` at all.  Its ``halve_rows`` sums a block into
-a coarser level in one call per level, pairwise in ``_block_sums``'s
-order; without the library numpy does (``_coarsen_in_place``), with the
-same bits.  If the library cannot be built, each
-replica fills its own rows with one ``standard_normal(out=...)`` call per
-block, from a Philox bit generator built from a seed sequence
-(``_key_type``) that hands over the (seed, replica) key words as they are.
-That gives the state of ``Philox(key=...)`` bit for bit at about a third
-of its cost: the keyed constructor first draws OS entropy for a seed
-sequence that the key then replaces.  ``sample_increments`` always draws
-with numpy; it is the reference that the compiled draws are tested
-against.  A stream's generator states live only as long as its
-``blocks()``; nothing is kept between streams.
+Every draw goes through ``_fill``, the one place that picks the compiled
+or the numpy draws.  The compiled library (``_native.c``, ``draw_normals``)
+fills a block for all replicas in one call, each replica from its own
+88-byte Philox state (``_philox_states``), with the bits of numpy's Philox
+and ziggurat; it needs no ``numpy.random``, so neither ``generate`` nor a
+CLI ``simulate`` run imports it.  Its ``halve_rows`` sums a block into a
+coarser level in one call per level, pairwise in ``_block_sums``'s order;
+without the library numpy does (``_coarsen_in_place``), with the same
+bits.  If the library cannot be built, each replica fills its rows with
+one ``standard_normal(out=...)`` call per block, from a Philox bit generator
+keyed by a seed sequence (``_key_type``) that hands over [seed, replica]
+as it is: ``Philox(key=...)``'s state at a third of its cost, as the keyed
+constructor first draws OS entropy that the key then replaces.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +85,12 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     """Generate the increments for one replica from its counter-based stream."""
     if step_fine <= 0 or horizon <= 0:
         raise ConfigurationError(f"step_fine={step_fine} and horizon={horizon} must be positive")
+    if dim_noise < 1:
+        raise ConfigurationError(f"dim_noise must be at least 1, got {dim_noise}")
     n = ratio_as_int(horizon, step_fine, "horizon/step_fine")
     inc = sample_increments(seed, replica, dim_noise, step_fine, n)
     inc.setflags(write=False)
-    return BrownianGrid(
-        seed=seed,
-        replica=replica,
-        dim_noise=dim_noise,
-        step_fine=step_fine,
-        horizon=horizon,
-        increments=inc,
-    )
+    return BrownianGrid(seed, replica, dim_noise, step_fine, horizon, inc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,10 +106,8 @@ def _key_type():
     class Key(ISeedSequence):
         """Hands a Philox generator ``words``, the key [seed, replica], as they are.
 
-        ``Philox(Key(seed, replica), counter=0)`` starts in the state of
-        ``Philox(key=[seed, replica])``: Philox takes its two 64-bit key
-        words from ``generate_state(2, np.uint64)`` and starts at the given
-        counter.  Meant for Philox only.
+        ``Philox(Key(seed, replica), counter=0)`` starts in the state of ``Philox(key=[seed, replica])``:
+        it takes its two key words from ``generate_state(2, np.uint64)``.  Meant for Philox only.
         """
 
         __slots__ = ("words",)
@@ -135,6 +126,10 @@ _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 def _check_key(seed: int, first: int, count: int) -> None:
     """Raise unless every key [seed, r] of replicas first..first+count-1 is two 64-bit words."""
+    try:
+        operator.index(seed), operator.index(first)
+    except TypeError:
+        raise ConfigurationError(f"seed and replica must be integers, got {seed!r} and {first!r}") from None
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
     if not 0 <= first <= first + count <= 2**64:
@@ -147,7 +142,6 @@ def _bit_generators(seed: int, first: int, count: int) -> list:
     They share one key, re-pointed before each is built; a Philox
     copies its key words when it is built and never reads them again.
     """
-    _check_key(seed, first, count)
     key = _key_type()(seed, first)
     bits = []
     for replica in range(first, first + count):
@@ -163,7 +157,6 @@ def _philox_states(seed: int, first: int, count: int) -> np.ndarray:
     0 (words 0-3), the key (4-5), an empty buffer (6-9) and position 4,
     no buffered word left (10).
     """
-    _check_key(seed, first, count)
     state = np.zeros((count, 11), dtype=np.uint64)
     state[:, 4] = seed
     state[:, 5] = np.arange(count, dtype=np.uint64) + np.uint64(first)
@@ -171,13 +164,41 @@ def _philox_states(seed: int, first: int, count: int) -> np.ndarray:
     return state
 
 
-def _generator(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(_bit_generators(seed, replica, 1)[0])
+def _fill(seed: int, first: int, count: int, step: float):
+    """``fill(rows)`` writes the next L N(0, step) draws of replicas first..first+count-1 over a (count, L) buffer.
+
+    The compiled draws when the library loads, else numpy's ``Generator``: the same bits either way.
+    """
+    from . import _native  # here, so that importing the package does not import it
+
+    _check_key(seed, first, count)
+    scale = np.sqrt(step)
+    kernels = _native.kernels()
+    if kernels is None:
+        # the state lives in the bit generator: wrapping it anew for each block
+        # is cheap, and holding a Generator per replica would add 224 bytes each
+        bits = _bit_generators(seed, first, count)
+
+        def fill(rows):
+            for bit, out in zip(bits, rows):
+                np.random.Generator(bit).standard_normal(out=out)
+            rows *= scale
+
+        return fill
+    draw, state = kernels["draw_normals"], _philox_states(seed, first, count)
+    address = state.ctypes.data
+
+    def fill(rows, state=state):  # the default keeps the states alive as long as the fill
+        draw(count, address, rows.ctypes.data, rows.strides[0] // 8, rows.shape[1], scale)
+
+    return fill
 
 
 def sample_increments(seed: int, replica: int, dim_noise: int, step: float, count: int) -> np.ndarray:
     """Raw (count, dim_noise) N(0, step) draws from the (seed, replica) stream."""
-    return _generator(seed, replica).standard_normal((count, dim_noise)) * np.sqrt(step)
+    out = np.empty((1, count * dim_noise))
+    _fill(seed, replica, 1, step)(out)
+    return out.reshape(count, dim_noise)
 
 
 class IncrementStream:
@@ -193,8 +214,7 @@ class IncrementStream:
     a block's ``block * dim_noise`` floats, plus 8 when those make a
     multiple of 4 KiB.  ``shape`` is (count, n_steps, dim_noise) and
     ``nbytes`` the buffer's size, pad included.  Each call of ``blocks()``
-    restarts the replicas' streams.  The compiled draws fill a block in one
-    call; without the compiled library, numpy's ``Generator`` fills it.
+    restarts the replicas' streams; ``_fill`` fills each block.
     """
 
     def __init__(self, seed: int, first: int, count: int, dim_noise: int, step: float, n_steps: int):
@@ -215,28 +235,8 @@ class IncrementStream:
         return 8 * self.shape[0] * self.stride
 
     def blocks(self):
-        from . import _native  # here, so that importing the package does not import it
-
         count, n_steps, dim = self.shape
-        scale = np.sqrt(self.step)
-        kernels = _native.kernels()
-        if kernels is None:
-            # the state lives in the bit generator: wrapping it anew for each block
-            # is cheap, and holding a Generator per replica would add 224 bytes each
-            bits = _bit_generators(self.seed, self.first, count)
-
-            def fill(rows):
-                for bit, out in zip(bits, rows):
-                    np.random.Generator(bit).standard_normal(out=out)
-                rows *= scale
-
-        else:
-            draw, state = kernels["draw_normals"], _philox_states(self.seed, self.first, count)
-            address = state.ctypes.data
-
-            def fill(rows):
-                draw(count, address, rows.ctypes.data, self.stride, rows.shape[1], scale)
-
+        fill = _fill(self.seed, self.first, count, self.step)
         buf = np.empty((count, self.stride))
         for start in range(0, n_steps, self.block):
             rows = buf[:, : min(self.block, n_steps - start) * dim]
@@ -316,7 +316,7 @@ def coarsen(grid, factor: int) -> np.ndarray:
     increments.
     """
     inc = grid.increments if isinstance(grid, BrownianGrid) else np.asarray(grid)
-    if factor < 1:
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"factor must be a positive integer, got {factor}")
     n = inc.shape[0]
     if n % factor != 0:

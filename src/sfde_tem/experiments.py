@@ -23,7 +23,7 @@ import numpy as np
 from .brownian import IncrementStream, _block_sums, _CoarseningStream, ratio_as_int
 
 # bound only for perfbench/tracing.py's patch points, so its brownian.sample_s, coarsen_s and
-# normals read 0 on converge-ex1: a blind spot, not a measurement (delete with ROADMAP item 5)
+# normals read 0 on converge-ex1: a blind spot, not a measurement (delete with ROADMAP item 4)
 from .brownian import sample_increments  # noqa: F401
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .model import SfdeModel

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import reference_increments
 from hypothesis import given, strategies as st
 
 from sfde_tem import _native, brownian
@@ -21,6 +22,9 @@ from sfde_tem.brownian import (
     total_increment,
 )
 from sfde_tem.errors import ConfigurationError
+from sfde_tem.experiments import moment_estimate
+from sfde_tem.model import builtin_example1
+from sfde_tem.scheme import SchemeConfig
 
 
 class TestGenerate:
@@ -47,6 +51,26 @@ class TestGenerate:
     def test_seed_outside_key_range_rejected(self, seed):
         with pytest.raises(ConfigurationError, match=f"seed .* got {seed}"):
             generate(seed, 0, 1, 2.0**-5, 1.0)
+
+    @pytest.mark.parametrize("seed, replica", [(1.5, 0), (1.0, 0), (1, 0.0), (np.float64(3.0), 2)])
+    def test_key_that_is_not_an_integer_rejected(self, seed, replica):
+        # a float key was truncated without a word: seed 1.5 gave seed 1's path
+        with pytest.raises(ConfigurationError, match="seed and replica must be integers"):
+            generate(seed, replica, 1, 0.25, 1.0)
+
+    def test_numpy_integer_key_accepted(self):
+        got = generate(np.uint64(2**64 - 1), np.int64(3), 1, 0.25, 1.0).increments
+        assert got.tobytes() == generate(2**64 - 1, 3, 1, 0.25, 1.0).increments.tobytes()
+
+    def test_float_seed_of_a_run_rejected(self):
+        config = SchemeConfig(step=2.0**-4, horizon=0.25)
+        with pytest.raises(ConfigurationError, match="seed and replica must be integers"):
+            moment_estimate(builtin_example1(), config, 2.0, 100, seed=1.5)
+
+    @pytest.mark.parametrize("dim_noise", [0, -1])
+    def test_no_noise_dimension_rejected(self, dim_noise):
+        with pytest.raises(ConfigurationError, match=f"dim_noise must be at least 1, got {dim_noise}"):
+            generate(0, 0, dim_noise, 0.25, 1.0)
 
     def test_largest_seed_runs(self):
         assert generate(2**64 - 1, 0, 1, 2.0**-5, 1.0).increments.shape == (32, 1)
@@ -79,6 +103,11 @@ class TestCoarsen:
         inc = np.zeros((5, 1))
         with pytest.raises(ValueError):
             coarsen(inc, 2)
+
+    @pytest.mark.parametrize("factor", [0, -2, 2.0, np.float64(1.0)])
+    def test_factor_not_a_positive_integer_rejected(self, factor):
+        with pytest.raises(ValueError, match=f"factor must be a positive integer, got {factor}"):
+            coarsen(np.zeros((4, 1)), factor)
 
     def test_dyadic_telescoping_exact(self):
         g = generate(11, 4, 2, 2.0**-6, 1.0)
@@ -149,7 +178,7 @@ class TestIncrementStream:
     @pytest.mark.usefixtures("draws")
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_rows_match_sample_increments(self, monkeypatch, dim, block):
+    def test_rows_match_numpy(self, monkeypatch, dim, block):
         step, n_steps = 2.0**-6, 100  # 100 is not a multiple of 7 or 64: a short last block
         monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * block * 3 * dim)
         stream = IncrementStream(17, 5, 3, dim, step, n_steps)
@@ -157,7 +186,7 @@ class TestIncrementStream:
         rows = np.concatenate([rows.copy() for rows in stream.blocks()])
         assert rows.shape == (n_steps, 3, dim)
         for i in range(3):
-            assert np.array_equal(rows[:, i], sample_increments(17, 5 + i, dim, step, n_steps))
+            assert rows[:, i].tobytes() == reference_increments(17, 5 + i, dim, step, n_steps).tobytes()
 
     def test_shape_nbytes_and_restart(self, monkeypatch):
         monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * 3 * 4 * 2)
@@ -180,12 +209,34 @@ class TestIncrementStream:
             next(IncrementStream(seed, first, 2, 1, 0.25, 8).blocks())
 
 
+class TestSampleIncrements:
+    # sample_increments, and so generate, draw through the stream's fill:
+    # numpy's bits on both paths, at any length; sqrt(0.1) and sqrt(2^-7)
+    # are inexact, so the scaling's rounding is compared too
+    @pytest.mark.usefixtures("draws")
+    @pytest.mark.parametrize("dim, count", [(1, 0), (2, 0), (1, 37), (2, 2**16 + 5)])
+    def test_sample_increments_match_numpy(self, dim, count):
+        seed, replica, step = 2**64 - 1, 2**32 + 3, 0.1
+        got = sample_increments(seed, replica, dim, step, count)
+        assert got.shape == (count, dim)
+        assert got.tobytes() == reference_increments(seed, replica, dim, step, count).tobytes()
+
+    @pytest.mark.usefixtures("draws")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_generate_matches_numpy(self, dim):
+        step, n_steps = 2.0**-7, 163840
+        grid = generate(21, 9, dim, step, n_steps * step)
+        assert grid.increments.nbytes > brownian.STREAM_BYTES  # more than one stream block
+        assert grid.increments.tobytes() == reference_increments(21, 9, dim, step, n_steps).tobytes()
+        assert not grid.increments.flags.writeable
+
+
 ZIGGURAT_R = 3.6541528853610088  # numpy's ziggurat draws a normal past this from its tail
 
 
 class TestCompiledDraws:
-    # the compiled draws against numpy's Generator (sample_increments), bit
-    # for bit; step 2^-6 scales by 2^-3 exactly, so the unscaled draws show
+    # the stream's draws against numpy's Generator, bit for bit; step 2^-6
+    # scales by 2^-3 exactly, so the unscaled draws show
     @pytest.mark.parametrize(
         "seed, first, count, dim, n_steps, block, padded",
         [
@@ -195,13 +246,13 @@ class TestCompiledDraws:
         ids=["largest_seed_padded", "two_coordinates_short_block"],
     )
     @pytest.mark.usefixtures("draws")
-    def test_blocks_match_sample_increments(self, monkeypatch, seed, first, count, dim, n_steps, block, padded):
+    def test_blocks_match_numpy(self, monkeypatch, seed, first, count, dim, n_steps, block, padded):
         step, scale = 2.0**-6, 2.0**-3
         monkeypatch.setattr(brownian, "STREAM_BYTES", 8 * block * count * dim)
         stream = IncrementStream(seed, first, count, dim, step, n_steps)
         assert stream.block == block
         assert (stream.stride == block * dim + 8) == padded
-        expected = np.stack([sample_increments(seed, first + i, dim, step, n_steps) for i in range(count)], axis=1)
+        expected = np.stack([reference_increments(seed, first + i, dim, step, n_steps) for i in range(count)], axis=1)
         assert expected.size >= 2**21
         assert np.count_nonzero(np.abs(expected / scale) > ZIGGURAT_R) > 0  # tail draws are compared too
         for _ in range(2):  # blocks() restarts every replica's stream
@@ -253,8 +304,8 @@ class TestGeneratorKeys:
     def _check_rows(stream, rows):
         count, n_steps, dim = stream.shape
         for i in range(count):
-            fresh = np.random.Generator(_fresh(stream.seed, stream.first + i))
-            assert np.array_equal(rows[:, i], fresh.standard_normal((n_steps, dim)) * np.sqrt(stream.step))
+            expected = reference_increments(stream.seed, stream.first + i, dim, stream.step, n_steps)
+            assert np.array_equal(rows[:, i], expected)
 
     @pytest.mark.parametrize("seed, first", [(0, 0), (9, 100), (2**63, 1), (2**64 - 1, 2**64 - 3)])
     def test_state_and_draws_of_new_bit_generators(self, seed, first):
@@ -298,6 +349,27 @@ class TestGeneratorKeys:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-c", "import sfde_tem; sfde_tem.generate(1, 0, 2, 2.0**-6, 2.0)"],
+            ["-m", "sfde_tem", "simulate", "--model", "example2", "--steps", "6", "--horizon", "2"],
+        ],
+        ids=["generate", "simulate"],
+    )
+    def test_compiled_draws_leave_numpy_random_unloaded(self, tmp_path, args):
+        # generate and the simulate command draw in C; -X importtime lists on
+        # stderr every module the process imports
+        assert _native.kernels() is not None, "the compiled library did not build"
+        env = dict(os.environ, PYTHONPATH=str(Path(brownian.__file__).resolve().parents[1]))
+        command = [sys.executable, "-X", "importtime", *args]
+        out = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        assert "the compiled steps are unavailable" not in out.stderr
+        timed = [line for line in out.stderr.splitlines() if line.startswith("import time:")]
+        imported = {line.rsplit("|", 1)[-1].strip() for line in timed}
+        assert "sfde_tem.brownian" in imported
+        assert "numpy.random" not in imported
+
 
 @pytest.fixture(params=["compiled", "gcc_fails"])
 def library(request, monkeypatch, tmp_path):
@@ -325,7 +397,7 @@ def _check_levels_and_totals(monkeypatch, dim, n_steps, factors, sweep_bytes):
     fine = np.stack([row.copy() for rows in stream.blocks() for row in rows])
     assert stream.totals.shape == (n_steps // stream.block, count, dim)
     for i in range(count):
-        path = sample_increments(seed, first + i, dim, step, n_steps)
+        path = reference_increments(seed, first + i, dim, step, n_steps)
         assert fine[:, i].tobytes() == path.tobytes()
         for f, rows in got.items():
             assert np.concatenate(rows)[:, i].tobytes() == coarsen(path, f).tobytes()

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import reference_increments
 from hypothesis import given, settings, strategies as st
 
 from sfde_tem import _native, brownian, scheme
 from sfde_tem import model as model_module
-from sfde_tem.brownian import IncrementStream, sample_increments
+from sfde_tem.brownian import IncrementStream
 from sfde_tem.errors import ConfigurationError, NumericalError
 from sfde_tem.model import _ex1_drift, builtin_example1, builtin_example2, builtin_gbm_oracle
 from sfde_tem.scheme import CLASSIC_EM, SchemeConfig, _Driver
@@ -39,7 +40,7 @@ def _increments(seed, batch, step, n_steps, layout, dim=1):
     of which "coordinate_strided" keeps every other of 2d coordinates (C reads them through its coordinate
     stride) and "float32" casts to float32 (C steps a float64 copy)."""
     wide = 2 if layout == "coordinate_strided" else 1
-    paths = np.stack([sample_increments(seed, r, wide * dim, step, n_steps) for r in range(batch)])
+    paths = np.stack([reference_increments(seed, r, wide * dim, step, n_steps) for r in range(batch)])
     if layout == "replica_major":
         return paths.transpose(1, 0, 2)
     rows = np.ascontiguousarray(paths.transpose(1, 0, 2))
@@ -382,7 +383,7 @@ class TestBuild:
         assert compiler in str(caught[0].message) and "numpy" in str(caught[0].message)
         assert "Generator draws the increments" in str(caught[0].message)
         assert list(fresh_build.iterdir()) == []  # no partial library left behind
-        expected_rows = np.stack([sample_increments(2, 7 + i, 2, step, n_steps) for i in range(3)], axis=1)
+        expected_rows = np.stack([reference_increments(2, 7 + i, 2, step, n_steps) for i in range(3)], axis=1)
         assert streamed.tobytes() == expected_rows.tobytes()
         expected = _drive(model, config, rows, n_steps, compiled=False)
         assert all(_same_bytes(_Run(driver.result(), [], 0), expected) for driver in results[:2])
