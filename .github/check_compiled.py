@@ -1,7 +1,9 @@
-"""Build and load the compiled library, and check that its draws, coarsening and observed sums have numpy's bits.
+"""Build and load the compiled library, check that the builtins' truncated drivers take its steps, and that its
+draws, coarsening and observed sums have numpy's bits.
 
 Run with ``PYTHONPATH=src``; exits non-zero if the library does not build or
-load, if a stream's first block or ``generate``'s path differs from numpy's
+load, if a truncated example1 or example2 driver does not take the compiled
+step (the numpy step gives the same bits, so no digest would show it), if a stream's first block or ``generate``'s path differs from numpy's
 ``Generator(Philox(key=[seed, r]))``, if a level of a coarsening stream's
 block differs from ``coarsen`` of those increments, or if the squared norms or per-step sums of an observed block of
 example2 differ from the numpy expressions they replace.
@@ -11,8 +13,8 @@ import sys
 
 import numpy as np
 
-from sfde_tem import _native, brownian, builtin_example2, generate
-from sfde_tem.scheme import SchemeConfig, _run_batch
+from sfde_tem import _native, brownian, builtin_example1, builtin_example2, generate
+from sfde_tem.scheme import SchemeConfig, _Driver, _run_batch
 from sfde_tem.segment import _sum_last_axis
 
 kernels = _native.kernels()
@@ -21,6 +23,10 @@ if kernels is None:
 missing = [name for name in (*_native._STEPS, _native._DRAW, _native._HALVE, _native._SUMS) if name not in kernels]
 if missing:
     sys.exit(f"the compiled library lacks {missing}")
+for model in (builtin_example1(), builtin_example2()):
+    # C has no full quadrature: every integral of the kernel must be a running term
+    if _Driver(model, SchemeConfig(2.0**-5, 1.0), 3).compiled is None:
+        sys.exit(f"a truncated {model.name} driver does not take the compiled step")
 
 
 def numpy_draws(seed, replica, dim, step, count):
@@ -72,6 +78,6 @@ if sq.tobytes() != _sum_last_axis(states * states).tobytes():
 if cols.tobytes() != np.array([row.sum(axis=0) for row in states]).tobytes():
     sys.exit("the compiled sums over replicas of an observed block differ from numpy's")
 print(
-    f"compiled steps, draws, halving and sums load; {rows.size} stream draws, generate's paths, "
+    f"compiled steps, draws, halving and sums load; example1 and example2 take the compiled step; {rows.size} stream draws, generate's paths, "
     f"{len(factors)} coarser levels and an observed block's sums match numpy's"
 )

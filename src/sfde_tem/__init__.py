@@ -54,7 +54,6 @@ from .scheme import (
 )
 from .segment import (
     Segment,
-    WeightFunction,
     boxcar_weight,
     constant_segment,
     constant_weight,
@@ -81,7 +80,6 @@ __all__ = [
     "StabilityReport",
     "TRUNCATED_EM",
     "UnsupportedPointError",
-    "WeightFunction",
     "admissible_nu",
     "boxcar_weight",
     "builtin_example1",

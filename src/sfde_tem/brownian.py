@@ -85,6 +85,7 @@ def generate(seed: int, replica: int, dim_noise: int, step_fine: float, horizon:
     """Generate the increments for one replica from its counter-based stream."""
     if step_fine <= 0 or horizon <= 0:
         raise ConfigurationError(f"step_fine={step_fine} and horizon={horizon} must be positive")
+    dim_noise = _integer(dim_noise, "dim_noise")
     if dim_noise < 1:
         raise ConfigurationError(f"dim_noise must be at least 1, got {dim_noise}")
     n = ratio_as_int(horizon, step_fine, "horizon/step_fine")
@@ -122,6 +123,16 @@ def _key_type():
 
 
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index``; ``ConfigurationError`` naming ``name`` if not, or if a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_key(seed: int, first: int, count: int) -> None:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .brownian import IncrementStream, _block_sums, _CoarseningStream, ratio_as_int
+from .brownian import IncrementStream, _block_sums, _CoarseningStream, _integer, ratio_as_int
 
 # bound only for perfbench/tracing.py's patch points, so its brownian.sample_s, coarsen_s and
 # normals read 0 on converge-ex1: a blind spot, not a measurement (delete with ROADMAP item 4)
@@ -78,6 +78,14 @@ class StabilityReport:
     samples: int
 
 
+def _sample_count(samples, harness: str) -> int:
+    """``samples`` as an int of at least ``MIN_SAMPLES``, else ``ConfigurationError``."""
+    samples = _integer(samples, "samples")
+    if samples < MIN_SAMPLES:
+        raise ConfigurationError(f"{harness} needs at least {MIN_SAMPLES} samples, got {samples}")
+    return samples
+
+
 def _batches(samples: int, n_hist: int, dim: int, n_steps: int) -> Iterator[Tuple[int, int]]:
     """Yield (start, count) per batch of replicas in index order.
 
@@ -114,8 +122,7 @@ def strong_error(
     bit-identical to ``total_increment`` of each whole fine path, and the
     horizon to (B, n) terminal states.
     """
-    if samples < MIN_SAMPLES:
-        raise ConfigurationError(f"strong_error needs at least {MIN_SAMPLES} samples, got {samples}")
+    samples = _sample_count(samples, "strong_error")
     steps = sorted({float(s) for s in step_list}, reverse=True)
     if not steps or len(steps) != len(step_list):
         raise ConfigurationError(f"step_list must hold distinct steps, got {list(step_list)}")
@@ -205,8 +212,7 @@ def moment_estimate(
     """
     if not 2 <= p_exponent < math.inf:
         raise ConfigurationError(f"moment exponent must be finite and >= 2, got {p_exponent}")
-    if samples < MIN_SAMPLES:
-        raise ConfigurationError(f"moment_estimate needs at least {MIN_SAMPLES} samples, got {samples}")
+    samples = _sample_count(samples, "moment_estimate")
     delta, n_hist, n_steps = resolve_grid(model, config)
     classic = config.variant == CLASSIC_EM
 
@@ -260,12 +266,13 @@ def stability_decay(
 
     The moment rate is the least-squares slope of log E|Y(t)|^p over the
     final ``tail_fraction`` of [0, T]; moment estimates below 1e-300 are
-    clamped, flagged, and excluded from the fit.
+    clamped, flagged, and excluded from the fit.  A classic-scheme run in
+    which any replica diverges raises ``NumericalError`` with the count,
+    since its moments and rates would not be finite.
     """
     if not 0 < p_exponent < math.inf:
         raise ConfigurationError(f"moment exponent must be positive and finite, got {p_exponent}")
-    if samples < MIN_SAMPLES:
-        raise ConfigurationError(f"stability_decay needs at least {MIN_SAMPLES} samples, got {samples}")
+    samples = _sample_count(samples, "stability_decay")
     if not 0.0 < tail_fraction <= 1.0:
         raise ConfigurationError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     delta, n_hist, n_steps = resolve_grid(model, config)
@@ -273,6 +280,7 @@ def stability_decay(
     sums_p = np.zeros(n_steps + 1)
     sums_state = np.zeros((n_steps + 1, model.dim_state))
     terminal_norms = np.empty(samples)
+    diverged = 0
 
     def observe(k0, states, alive):
         rows = slice(k0, k0 + len(states))
@@ -284,6 +292,9 @@ def stability_decay(
         inc = IncrementStream(seed, start, count, model.dim_noise, config.step, n_steps)
         res = _run_batch(model, config, inc, per_block=observe, replica_offset=start)
         terminal_norms[start : start + count] = np.sqrt(np.sum(res.terminal**2, axis=-1))
+        diverged += int(res.diverged.sum())
+    if diverged:
+        raise NumericalError(f"{diverged} of {samples} replicas diverged, so the decay diagnostics are undefined")
 
     moments = sums_p / samples
     clamped = moments < MOMENT_FLOOR

@@ -17,11 +17,12 @@ where it is read, so one index of every replica is one contiguous row.
 The window keeps its states, shape (rows, B, n), only if a coefficient
 reads a history node off the head (``lerp_eval``) or a full quadrature,
 beginning within the first two steps (a first read later raises
-``ConfigurationError``).  A constant or boxcar (weight, transform) pair
-the coefficients read before the first step is a running trapezoid sum,
-sliding in O(1) per step; it keeps its transformed states, and recomputes
-its sum from them every N steps, only if a simulated state leaves the
-weight's support.  Every other integral read is a full quadrature.
+``ConfigurationError``).  A (weight, transform) pair the coefficients
+read before the first step whose weight's node samples are constant, or a
+boxcar's that ends at theta = 0, is a running trapezoid sum, sliding in
+O(1) per step; it keeps its transformed states, and recomputes its sum
+from them every N steps, only if a simulated state leaves the weight's
+support.  Every other integral read is a full quadrature.
 ``_Driver`` steps a batch over blocks of increment rows, through a window
 that owns the run's state; ``_run_batch`` runs one over a whole array or
 stream.  A step costs a fixed handful of
@@ -56,7 +57,6 @@ from .model import SfdeModel, clip_to_ball, truncate, truncation_radius
 from .segment import (
     NODE_SNAP_REL,
     Segment,
-    WeightFunction,
     _apply_transform,
     _lerp,
     _sum_last_axis,
@@ -179,47 +179,50 @@ class _History:
 
 
 class _IntegralTerm:
-    """Running trapezoid sum of a constant or boxcar (weight, transform) pair, built before the first shift.
+    """Running trapezoid sum of a (weight, transform) pair whose node samples slide, built before the first shift.
 
     ``value`` slides in O(1) per shift: it adds the new head and drops the
     node that leaves the support, which starts at window node m
-    (``sliding_node``).  ``hist`` holds the transformed history, with a ring
-    only if a simulated state leaves the support during the run (K > N - m);
-    then ``value`` is also recomputed from it every N shifts (``resync``),
-    so rounding carried over from values that have left the window does not
-    pile up.  ``head`` is the transformed newest node, never a view of the
-    window.  ``samples`` come from the window's cache (``_node_weights``).
+    (``sliding_node`` of ``samples``).  ``hist`` holds the transformed
+    history, with a ring only if a simulated state leaves the support during
+    the run (K > N - m); then ``value`` is also recomputed from it every N
+    shifts (``resync``), so rounding carried over from values that have left
+    the window does not pile up.  ``head`` is the transformed newest node,
+    never a view of the window.
     """
 
     __slots__ = ("transform", "samples", "coeff", "m_node", "hist", "head", "value")
 
-    def __init__(self, weight: WeightFunction, transform, m_node: int, window: "_SlidingWindow"):
+    def __init__(self, samples: np.ndarray, transform, m_node: int, window: "_SlidingWindow"):
         # the window finds terms by the ids of this pair: the term holds the transform,
-        # the sample cache the weight, so no later object takes either id during the run
+        # the window's sample cache the weight, so no later object takes either id during the run
         self.transform = transform
-        self.samples = window._node_weights(weight)
-        self.coeff = weight.plateau * window.step * 0.5
+        self.samples = samples
+        self.coeff = samples[-1] * window.step * 0.5
         self.m_node = m_node
         # every replica still holds the initial nodes: one value serves them all
         h = _apply_transform(transform, window.hist.initial)
         self.hist = _History(h)
         self.head = h[-1]
-        self.value = np.full(window.batch, _trapezoid_sum(h * self.samples, window.step))
+        self.value = np.full(window.batch, _trapezoid_sum(h * samples, window.step))
         if window.run_steps > window.n_steps - m_node:
             self.hist.make_ring(window.batch, window.run_steps)
 
     @staticmethod
-    def sliding_node(weight: WeightFunction, window: "_SlidingWindow") -> Optional[int]:
-        """Node m where a constant weight's (m = 0) or a boxcar [(m - N) Delta, 0]'s support starts, else None."""
-        if weight.kind == "constant":
+    def sliding_node(samples: np.ndarray) -> Optional[int]:
+        """Node m from which a weight's N+1 node samples slide, else None.
+
+        Constant samples slide from m = 0, and those of a boxcar [(m - N) Delta, 0],
+        1 <= m <= N - 1, from m: 0 before node m, half the last sample at m and the
+        last from m + 1 to N.  A shift then changes the trapezoid by ``coeff`` =
+        last * Delta / 2 times the two entering nodes less the nodes m and m + 1.
+        """
+        last = samples[-1]
+        if (samples == last).all():
             return 0
-        if weight.kind == "boxcar" and weight.declared_support is not None:
-            lo, hi = weight.declared_support
-            n = window.n_steps
-            m = round(lo / window.step) + n
-            on_node = abs(lo - (m - n) * window.step) <= NODE_SNAP_REL * max(1.0, window.tau)
-            if hi == 0.0 and on_node and 1 <= m <= n - 1:
-                return int(m)
+        m = int(np.argmax(samples != 0.0))
+        if 1 <= m < len(samples) - 1 and samples[m] == 0.5 * last and (samples[m + 1 :] == last).all():
+            return m
         return None
 
     def shift(self, window: "_SlidingWindow", resync: bool):
@@ -267,10 +270,11 @@ class _SlidingWindow:
     ``ConfigurationError``, since states it needs were never stored.
 
     Integral terms are registered by the identity of their (weight,
-    transform) pair, for a constant or boxcar weight read before the first
-    shift (``running_term``).  Every other read is one full quadrature, so
-    the registry cannot grow during a run; the node samples of a weight
-    first met before the first shift are kept for the run, by its identity.
+    transform) pair, for a pair read before the first shift whose weight's
+    node samples slide (``running_term``).  Every other read is one full
+    quadrature, so the registry cannot grow during a run; the node samples
+    of a weight first met before the first shift are kept for the run, by
+    its identity, and a read takes them at most once.
     """
 
     def __init__(self, initial: np.ndarray, batch: int, tau: float, run_steps: int):
@@ -307,26 +311,31 @@ class _SlidingWindow:
     def lerp_eval(self, theta: float) -> np.ndarray:
         return _lerp(self, theta, self._node)
 
-    def running_term(self, weight: WeightFunction, transform) -> Optional[_IntegralTerm]:
-        """The pair's running integral, registered on its first read before the first shift, else None."""
+    def running_term(self, weight: Callable[[float], float], transform):
+        """The pair's running integral and None, else None and the weight's node samples, taken once.
+
+        A pair is registered on its first read before the first shift if those samples slide.
+        """
         key = (id(weight), id(transform))
         term = self._terms.get(key)
-        if term is None and not self.shifts:
-            m = _IntegralTerm.sliding_node(weight, self)
-            if m is not None:
-                term = self._terms[key] = _IntegralTerm(weight, transform, m, self)
-        return term
+        if term is None:
+            samples = self._node_weights(weight)
+            m = None if self.shifts else _IntegralTerm.sliding_node(samples)
+            if m is None:
+                return None, samples
+            term = self._terms[key] = _IntegralTerm(samples, transform, m, self)
+        return term, None
 
-    def weighted_integral(self, weight: WeightFunction, transform):
-        term = self.running_term(weight, transform)
+    def weighted_integral(self, weight: Callable[[float], float], transform):
+        term, samples = self.running_term(weight, transform)
         if term is not None:
             return term.value
         # a full trapezoid over every replica's window
         self._store_states("a full quadrature of the history")
         h = _apply_transform(transform, self.hist.window_at(self.shifts))
-        return _trapezoid_sum(h * self._node_weights(weight)[:, None], self.step, axis=0)
+        return _trapezoid_sum(h * samples[:, None], self.step, axis=0)
 
-    def _node_weights(self, weight: WeightFunction) -> np.ndarray:
+    def _node_weights(self, weight: Callable[[float], float]) -> np.ndarray:
         """``node_weights`` of a weight, sampled once for the run if first read before the first shift."""
         known = self._samples.get(id(weight))
         if known is not None:
@@ -572,7 +581,7 @@ class _Compiled:
             ]
         else:
             return None
-        terms = [driver.window.running_term(weight, transform) for weight, transform in pairs]
+        terms = [driver.window.running_term(weight, transform)[0] for weight, transform in pairs]
         if any(term is None for term in terms):
             return None
         from . import _native  # here, so that importing the package does not import it

@@ -8,7 +8,9 @@ piecewise linear.  Integral terms of the form
     int_{-tau}^{0} h(phi(theta)) rho(theta) dtheta
 
 are approximated by the composite trapezoid rule on the same grid, with
-the weight rho sampled at the nodes.  The transform h maps a node vector
+the weight rho, any callable theta -> rho(theta), sampled at the nodes;
+the simulation engine, too, sees a weight only through those samples
+(``scheme._IntegralTerm.sliding_node``).  The transform h maps a node vector
 to a scalar; ``_apply_transform`` is the one rule, shared with the batch
 driver, that decides on every call whether it evaluates a whole array of
 nodes at once or one node at a time.
@@ -17,7 +19,7 @@ nodes at once or one node at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -91,38 +93,14 @@ def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape[:-1])
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Nonnegative weight rho on [-tau, 0], sampled at grid nodes.
-
-    ``kind``/``plateau`` (with ``declared_support`` for a boxcar) describe
-    recognized structure that the simulation engine exploits for O(1)
-    sliding updates; custom weights leave them unset and fall back to a
-    full trapezoid pass per step.
-    """
-
-    eval: Callable[[float], float]
-    declared_support: Optional[Tuple[float, float]] = None
-    kind: Optional[str] = None  # "constant" | "boxcar" | None
-    plateau: float = 0.0
-
-    def __call__(self, theta: float) -> float:
-        return self.eval(theta)
-
-
-def constant_weight(value: float = 1.0) -> WeightFunction:
+def constant_weight(value: float = 1.0) -> Callable[[float], float]:
     """Weight identically equal to ``value`` on the whole window."""
     if value < 0:
         raise ValueError(f"weight value must be nonnegative, got {value}")
-    return WeightFunction(
-        eval=lambda theta, _v=value: _v,
-        declared_support=None,
-        kind="constant",
-        plateau=float(value),
-    )
+    return lambda theta, _v=value: _v
 
 
-def boxcar_weight(lo: float, hi: float = 0.0, value: float = 1.0) -> WeightFunction:
+def boxcar_weight(lo: float, hi: float = 0.0, value: float = 1.0) -> Callable[[float], float]:
     """Indicator plateau ``value`` on [lo, hi], with half values at jump nodes.
 
     Sampling the raw indicator at nodes makes the trapezoid rule overshoot
@@ -148,38 +126,27 @@ def boxcar_weight(lo: float, hi: float = 0.0, value: float = 1.0) -> WeightFunct
             return _v
         return 0.0
 
-    return WeightFunction(
-        eval=_eval,
-        declared_support=(lo, hi),
-        kind="boxcar",
-        plateau=float(value),
-    )
+    return _eval
 
 
-def node_weights(weight: WeightFunction, tau: float, n_steps: int) -> np.ndarray:
+def node_weights(weight: Callable[[float], float], tau: float, n_steps: int) -> np.ndarray:
     """Sample a weight at the N+1 grid nodes of [-tau, 0]."""
     delta = tau / n_steps
     thetas = (np.arange(n_steps + 1) - n_steps) * delta
-    samples = np.array([float(weight.eval(t)) for t in thetas])
+    samples = np.array([float(weight(t)) for t in thetas])
     if np.any(samples < 0) or not np.all(np.isfinite(samples)):
         bad = int(np.argmax(~(np.isfinite(samples) & (samples >= 0))))
         raise ValueError(f"weight sample at node {bad} (theta={thetas[bad]}) is invalid: {samples[bad]}")
     return samples
 
 
-def normalize(weight: WeightFunction, tau: float, n_steps: int) -> WeightFunction:
+def normalize(weight: Callable[[float], float], tau: float, n_steps: int) -> Callable[[float], float]:
     """Rescale a weight so its node-trapezoid mass on the (tau, N) grid is 1."""
     samples = node_weights(weight, tau, n_steps)
     mass = float(_trapezoid_sum(samples, tau / n_steps))
     if mass <= 0.0:
         raise ValueError(f"weight has non-positive trapezoid mass {mass} on the given grid")
-    inner = weight.eval
-    return WeightFunction(
-        eval=lambda theta, _f=inner, _m=mass: _f(theta) / _m,
-        declared_support=weight.declared_support,
-        kind=weight.kind,
-        plateau=weight.plateau / mass,
-    )
+    return lambda theta, _f=weight, _m=mass: _f(theta) / _m
 
 
 @dataclass(frozen=True)
@@ -228,7 +195,7 @@ class Segment:
     def shift_append(self, new_head: np.ndarray) -> "Segment":
         return shift_append(self, new_head)
 
-    def weighted_integral(self, weight: WeightFunction, transform) -> float:
+    def weighted_integral(self, weight: Callable[[float], float], transform) -> float:
         return weighted_integral(self, weight, transform)
 
 
@@ -269,7 +236,7 @@ def shift_append(seg: Segment, new_head) -> Segment:
     return Segment(np.concatenate([seg.values[1:], vec[None, :]]), seg.tau)
 
 
-def weighted_integral(seg: Segment, weight: WeightFunction, transform) -> float:
+def weighted_integral(seg: Segment, weight: Callable[[float], float], transform) -> float:
     """Trapezoid approximation of int h(phi(theta)) rho(theta) dtheta on the grid."""
     # a non-finite node is reported below, so numpy's warnings would only repeat it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

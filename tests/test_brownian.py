@@ -67,9 +67,10 @@ class TestGenerate:
         with pytest.raises(ConfigurationError, match="seed and replica must be integers"):
             moment_estimate(builtin_example1(), config, 2.0, 100, seed=1.5)
 
-    @pytest.mark.parametrize("dim_noise", [0, -1])
+    @pytest.mark.parametrize("dim_noise", [0, -1, 1.5, 2.0, True])
     def test_no_noise_dimension_rejected(self, dim_noise):
-        with pytest.raises(ConfigurationError, match=f"dim_noise must be at least 1, got {dim_noise}"):
+        expected = "at least 1" if type(dim_noise) is int else "an integer"
+        with pytest.raises(ConfigurationError, match=f"dim_noise must be {expected}, got {dim_noise}"):
             generate(0, 0, dim_noise, 0.25, 1.0)
 
     def test_largest_seed_runs(self):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import sfde_tem
 from sfde_tem import _native, brownian, experiments
 from sfde_tem.brownian import _CoarseningStream, coarsen, sample_increments, total_increment
-from sfde_tem.errors import ConfigurationError, DegenerateFitError
+from sfde_tem.errors import ConfigurationError, DegenerateFitError, NumericalError
 from sfde_tem.experiments import (
     ErrorTable,
     admissible_nu,
@@ -124,6 +124,19 @@ class TestStrongError:
         m = builtin_gbm_oracle(1.0, 0.5, 1.0)
         with pytest.raises(ConfigurationError):
             strong_error(m, [2.0**-5], 2.0**-8, 1.0, 10, 0)
+
+    @pytest.mark.parametrize(
+        "harness",
+        [
+            lambda m, samples: strong_error(m, [2.0**-5], 2.0**-8, 1.0, samples, 0),
+            lambda m, samples: moment_estimate(m, SchemeConfig(2.0**-5, 1.0), 2.0, samples, 0),
+            lambda m, samples: stability_decay(m, SchemeConfig(2.0**-5, 1.0), 2.0, samples, 0),
+        ],
+        ids=["strong_error", "moment_estimate", "stability_decay"],
+    )
+    def test_sample_count_that_is_not_an_integer_rejected(self, harness):
+        with pytest.raises(ConfigurationError, match="samples must be an integer, got 150.0"):
+            harness(builtin_gbm_oracle(-1.0, 0.5, 1.0), 150.0)
 
     def test_chunking_does_not_change_estimates(self, monkeypatch):
         # the reference level has N = 8 history steps and K = 256: 9 ring entries per replica
@@ -379,6 +392,13 @@ class TestStabilityDecay:
         assert np.all(np.abs(rep.sample_mean[-1]) < 0.1)
         assert (rep.pathwise_rates < 0).mean() >= 0.95
         assert not rep.clamped
+
+    def test_classic_divergence_raises(self):
+        # example1 from x = 8 diverges on the classic scheme, where the moments
+        # and pathwise rates would be NaN and inf
+        m = builtin_example1(initial_data=lambda theta: np.array([8.0]))
+        with pytest.raises(NumericalError, match="100 of 100 replicas diverged"):
+            stability_decay(m, SchemeConfig(2.0**-4, 2.0, CLASSIC_EM), 2.0, 100, 1)
 
     def test_tail_fraction_validation(self):
         m = builtin_gbm_oracle(-1.0, 0.0, 1.0)

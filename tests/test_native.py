@@ -340,8 +340,9 @@ class TestOnlyQualifyingDrivers:
         ids=["example1", "example2_box", "example2_lebesgue"],
     )
     def test_weights_without_structure_keep_numpy(self, monkeypatch, make, name):
-        # a weight the window integrates by full quadrature has no C path
-        monkeypatch.setattr(model_module, name, dataclasses.replace(getattr(model_module, name), kind=None))
+        # a weight the window integrates by full quadrature has no C path:
+        # 1 + theta, whose node samples do not slide
+        monkeypatch.setattr(model_module, name, lambda theta: 1.0 + theta)
         config = SchemeConfig(step=2.0**-5, horizon=1.0)
         assert _Driver(make(), config, 3).compiled is None
 

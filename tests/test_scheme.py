@@ -33,20 +33,20 @@ from sfde_tem.scheme import (
 )
 from sfde_tem.segment import (
     Segment,
-    WeightFunction,
     boxcar_weight,
     constant_segment,
     constant_weight,
     _sum_last_axis,
     lerp_eval,
     node_weights,
+    normalize,
     shift_append,
 )
 from test_segment import _SPECIAL, SCALAR_ONLY, SCALAR_ONLY_IDS
 
-# 1 + theta on [-1/2, 0]: a weight with no recognised structure, so the
-# engine recomputes its integral by full quadrature after every shift
-_RAMP = WeightFunction(eval=lambda theta: 1.0 + theta)
+# 1 + theta on [-1/2, 0]: node samples that do not slide, so the engine
+# recomputes its integral by full quadrature after every shift
+_RAMP = lambda theta: 1.0 + theta
 
 
 def _square(v):
@@ -72,6 +72,33 @@ def _ramp_diffusion(seg):
 def ramp_example1():
     """example1 with diffusion 2 int (1 + theta) x^2(t + theta) dtheta."""
     return dataclasses.replace(builtin_example1(), diffusion=_ramp_diffusion)
+
+
+# a boxcar on [-1 + 1.5e-9, 0] in a window of tau = 2: its lower jump lies
+# 1.5e-9 past the node theta = -1, outside the boxcar's own snap tolerance
+# of 1e-9, so its samples are 0 at that node and 1 from the next one on
+_OFF_NODE_BOX = boxcar_weight(-1.0 + 1.5e-9, 0.0)
+
+
+def off_node_boxcar_example1():
+    """example1 over tau = 2 with diffusion 2 int x^2(t + theta) dtheta over [-1 + 1.5e-9, 0]."""
+
+    def diffusion(seg):
+        return 2.0 * np.asarray(seg.weighted_integral(_OFF_NODE_BOX, _square))[..., None, None]
+
+    return dataclasses.replace(builtin_example1(), tau=2.0, diffusion=diffusion)
+
+
+_ONE = lambda theta: 1.0
+
+
+def constant_function_example1():
+    """example1 whose diffusion reads a plain function theta -> 1.0 as its weight."""
+
+    def diffusion(seg):
+        return 2.0 * np.asarray(seg.weighted_integral(_ONE, _square))[..., None, None]
+
+    return dataclasses.replace(builtin_example1(), diffusion=diffusion)
 
 
 def _batch_states(m, cfg, inc):
@@ -351,8 +378,8 @@ class TestBatchConsistency:
 class TestRunningIntegralAccuracy:
     @pytest.mark.parametrize(
         "model_factory",
-        [builtin_example1, builtin_example2, ramp_example1],
-        ids=["example1", "example2", "ramp_weight"],
+        [builtin_example1, builtin_example2, ramp_example1, off_node_boxcar_example1, constant_function_example1],
+        ids=["example1", "example2", "ramp_weight", "off_node_boxcar", "constant_function"],
     )
     def test_engine_matches_fresh_quadrature(self, model_factory):
         # replay the recursion with plain Segments (full trapezoid each step);
@@ -465,7 +492,7 @@ class TestHistoryStorageBoundary:
         n = _STORAGE_N
         n_steps = {"1": 1, "2": 2, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
         evals = []
-        ramp = WeightFunction(eval=lambda theta: evals.append(theta) or 1.0 + theta)
+        ramp = lambda theta: evals.append(theta) or 1.0 + theta
 
         def drift(seg):
             h = seg.head[..., 0]
@@ -498,7 +525,7 @@ class TestHistoryStorageBoundary:
         n = _STORAGE_N
         n_steps = {"2": 2, "N+1": n + 1, "2N+1": 2 * n + 1}[k_case]
         evals, calls = [], []
-        flat = WeightFunction(eval=lambda theta: evals.append(theta) or 1.0, kind="constant", plateau=1.0)
+        flat = lambda theta: evals.append(theta) or 1.0
 
         def drift(seg):
             calls.append(None)
@@ -671,6 +698,45 @@ class TestLastStep:
         assert np.array_equal(res.terminal, np.zeros((2, 1)))
 
 
+_SLIDE_N = 16  # node samples on [-1/2, 0], Delta = 2^-5
+
+
+def _slide_samples(weight):
+    return node_weights(weight, 0.5, _SLIDE_N)
+
+
+def _half_sample_one_ulp_up():
+    samples = _slide_samples(boxcar_weight(-11 * 2.0**-5, 0.0))  # the boxcar from node 5
+    samples[5] = np.nextafter(samples[5], 1.0)
+    return samples
+
+
+class TestSlidingNode:
+    @pytest.mark.parametrize(
+        "samples, m_node",
+        [
+            (_slide_samples(constant_weight(2.0)), 0),
+            (_slide_samples(constant_weight(0.0)), 0),
+            (_slide_samples(boxcar_weight(-15 * 2.0**-5, 0.0, 3.0)), 1),
+            (_slide_samples(boxcar_weight(-(2.0**-5), 0.0)), _SLIDE_N - 1),
+            (_slide_samples(normalize(boxcar_weight(-0.25, 0.0), 0.5, _SLIDE_N)), 8),
+            (_half_sample_one_ulp_up(), None),
+            (_slide_samples(boxcar_weight(-0.25, -0.125)), None),
+            (_slide_samples(boxcar_weight(-0.5, 0.0)), None),
+            (_slide_samples(_RAMP), None),
+        ],
+        ids=[
+            "constant", "zero", "boxcar_m1", "boxcar_m_N-1", "normalized_boxcar",
+            "half_sample_one_ulp_up", "support_ends_before_0", "boxcar_from_node_0", "ramp",
+        ],
+    )
+    def test_sample_patterns(self, samples, m_node):
+        # constant samples slide from node 0 and a boxcar's ending at theta = 0
+        # from its first node 1 <= m <= N - 1; every other pattern keeps the
+        # full quadrature
+        assert scheme._IntegralTerm.sliding_node(samples) == m_node
+
+
 class TestIntegralTermRegistry:
     def test_transform_built_per_call_keeps_memory_flat(self):
         # example1 with its diffusion's transform written inline, a new object
@@ -802,9 +868,8 @@ class TestRunningIntegralResync:
             return float(np.mean(np.log(np.sqrt(np.sum(terminal**2, axis=-1)))))
 
         fast = mean_log_norm()
-        # the same weights without recognised structure: full quadrature every step
-        for name in ("_EX2_BOX", "_EX2_LEBESGUE"):
-            monkeypatch.setattr(model_module, name, dataclasses.replace(getattr(model_module, name), kind=None))
+        # the same weights with no pair taken to slide: full quadrature every step
+        monkeypatch.setattr(scheme._IntegralTerm, "sliding_node", staticmethod(lambda samples: None))
         slow = mean_log_norm()
         assert slow < -80.0
         assert fast == pytest.approx(slow, abs=1e-9)

@@ -194,13 +194,13 @@ class TestWeightedIntegral:
 class TestNormalize:
     def test_constant_rescale(self):
         w = normalize(constant_weight(2.0), tau=1.0, n_steps=4)
-        assert w.eval(-0.3) == pytest.approx(1.0, abs=1e-12)
+        assert w(-0.3) == pytest.approx(1.0, abs=1e-12)
 
     def test_indicator_quarter_support(self):
         # support [-1/4, 0] inside tau = 1/2: plateau 1/length = 4
         w = normalize(boxcar_weight(-0.25, 0.0), tau=0.5, n_steps=8)
-        assert w.eval(-0.125) == pytest.approx(4.0, abs=1e-8)
-        assert w.eval(0.0) == pytest.approx(4.0, abs=1e-8)
+        assert w(-0.125) == pytest.approx(4.0, abs=1e-8)
+        assert w(0.0) == pytest.approx(4.0, abs=1e-8)
         samples = node_weights(w, 0.5, 8)
         mass = (0.5 / 8) * (np.sum(samples) - 0.5 * (samples[0] + samples[-1]))
         assert mass == pytest.approx(1.0, abs=1e-8)
@@ -209,7 +209,7 @@ class TestNormalize:
         w1 = normalize(constant_weight(7.0), tau=2.0, n_steps=6)
         w2 = normalize(w1, tau=2.0, n_steps=6)
         for theta in (-2.0, -1.1, 0.0):
-            assert w2.eval(theta) == pytest.approx(w1.eval(theta), abs=1e-12)
+            assert w2(theta) == pytest.approx(w1(theta), abs=1e-12)
 
     def test_zero_mass_raises(self):
         zero = constant_weight(0.0)
